@@ -14,11 +14,13 @@ Three maps, all invertible:
 * ``sigma`` is the composite ``tau . phi``.
 
 Left-endpoint swaps carry edge labels with the edges (a ``LabeledMatching``),
-since after a swap the labels no longer sort by left endpoint.
+since after a swap the labels no longer sort by left endpoint. ``swap_left``
+is the single-swap reference; ``tau``, ``tau_inv`` and the representative
+stream walk the swap sequence on mutable arrays instead, at O(1) per swap.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     Edge,
@@ -32,6 +34,7 @@ from .core import (
     nc,
     nep,
     nestings,
+    stats,
 )
 from .lp import find_inflated_hairpin
 
@@ -93,6 +96,9 @@ def swap_left(m: "Matching | LabeledMatching", a: int, b: int) -> LabeledMatchin
     Right endpoints stay put and labels stay attached to their edges. A plain
     ``Matching`` is labeled by left endpoint first. The swap is refused if it
     would leave an edge with its endpoints inverted.
+
+    O(n): it copies and revalidates the whole labeled matching. Walks of many
+    swaps use ``_swap_walk`` instead.
     """
     lm = m if isinstance(m, LabeledMatching) else LabeledMatching.fresh(m)
     n = lm.n
@@ -133,11 +139,35 @@ class SwapTrace:
     steps: tuple[SwapStep, ...]
 
 
-def _apply_swaps(base: Matching, order: list[tuple[int, int]], count: int) -> LabeledMatching:
-    lm = LabeledMatching.fresh(base)
-    for a, b in order[:count]:
-        lm = swap_left(lm, a, b)
-    return lm
+def _swap_walk(base: Matching, pairs: Iterable[tuple[int, int]]) -> Iterator[list[int]]:
+    """Swap left endpoints of ``base`` (labeled by left endpoint) along
+    ``pairs``, yielding the partner table after each swap.
+
+    The same list is yielded every time and mutated in place between steps.
+    Each swap is O(1) and keeps ``swap_left``'s inversion check; nothing else
+    is validated, so callers build a ``Matching`` from what they keep.
+    """
+    partner = list(base.partner)
+    left = [v for v in range(2 * base.n) if v < partner[v]]  # by label - 1
+    for a, b in pairs:
+        la, lb = left[a - 1], left[b - 1]
+        ra, rb = partner[la], partner[lb]
+        if lb >= ra or la >= rb:
+            raise ValueError(
+                f"swapping left endpoints of {a} and {b} would invert edge "
+                f"{a if lb >= ra else b}"
+            )
+        left[a - 1], left[b - 1] = lb, la
+        partner[lb], partner[ra] = ra, lb
+        partner[la], partner[rb] = rb, la
+        yield partner
+
+
+def _apply_swaps(base: Matching, order: list[tuple[int, int]], count: int) -> Matching:
+    partner = base.partner
+    for partner in _swap_walk(base, order[:count]):
+        pass
+    return Matching(base.n, tuple(partner))
 
 
 def swap_sequence(m: Matching) -> SwapTrace:
@@ -200,7 +230,11 @@ def phi_inv(t: NCNTriple) -> Matching:
 
 def tau(t: NCNTriple) -> Matching:
     """Swap left endpoints along the nested-pair list of the base up to and
-    including the chosen pair; no pair means no swaps."""
+    including the chosen pair; no pair means no swaps.
+
+    O(n^2) for n edges: building the nested-pair list (``nep``) dominates,
+    and the at most n(n-1)/2 swaps cost O(1) each.
+    """
     if t.pair is None:
         return t.base
     order = nep(t.base)
@@ -210,7 +244,7 @@ def tau(t: NCNTriple) -> Matching:
         raise ValueError(
             f"pair {t.pair} is not a nested pair of the base matching"
         ) from None
-    return _apply_swaps(t.base, order, index).to_matching()
+    return _apply_swaps(t.base, order, index)
 
 
 def tau_inv(representative: Matching) -> NCNTriple:
@@ -219,19 +253,22 @@ def tau_inv(representative: Matching) -> NCNTriple:
     The base is the noncrossing projection; the swap count is the nesting
     deficit. The swaps are replayed to verify the claim, and a mismatch
     rejects the input as not a representative.
+
+    O(n^2) for n edges: the nesting counts and ``nep`` dominate, and the
+    replay costs O(1) per swap.
     """
     base = nc(representative)
     if representative == base:
         return NCNTriple(base, None)
-    k = nestings(base)[0]
-    deficit = k - nestings(representative)[0]
+    order = nep(base)
+    k = len(order)
+    deficit = k - stats(representative).ne
     if not 1 <= deficit <= k:
         raise NotRepresentativeError(
             f"nesting count {k - deficit} is impossible for this LR word "
             f"(noncrossing maximum is {k})"
         )
-    order = nep(base)
-    replayed = _apply_swaps(base, order, deficit).to_matching()
+    replayed = _apply_swaps(base, order, deficit)
     if replayed != representative:
         raise NotRepresentativeError(
             f"not a class representative: replaying {deficit} swaps from the "
@@ -241,10 +278,16 @@ def tau_inv(representative: Matching) -> NCNTriple:
 
 
 def sigma(m: Matching) -> Matching:
-    """The composite bijection: L & P matching to class representative."""
+    """The composite bijection: L & P matching to class representative.
+
+    O(n^2) for n edges: ``phi`` and ``tau`` are O(n^2) each.
+    """
     return tau(phi(m))
 
 
 def sigma_inv(representative: Matching) -> Matching:
-    """Inverse of the composite bijection."""
+    """Inverse of the composite bijection.
+
+    O(n^2) for n edges, dominated by ``tau_inv``.
+    """
     return phi_inv(tau_inv(representative))

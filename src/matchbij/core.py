@@ -345,5 +345,15 @@ def lperm(m: AnyMatching) -> tuple[int, ...]:
 
 
 def nep(m: AnyMatching) -> list[tuple[int, int]]:
-    """Nested label pairs sorted by second coordinate, then first."""
-    return sorted(nestings(m)[1], key=lambda p: (p[1], p[0]))
+    """Nested label pairs sorted by second coordinate, then first.
+
+    O(n^2) on a plain ``Matching``; a ``LabeledMatching`` also pays for
+    sorting its nested pairs.
+    """
+    if isinstance(m, LabeledMatching):
+        return sorted(nestings(m)[1], key=lambda p: (p[1], p[0]))
+    # Labels follow left endpoints, so a < b nest iff right(b) < right(a), and
+    # scanning b outside a lists the pairs in sorted order.
+    rights = [r for _, r in m.pairs()]
+    return [(a, b) for b, rb in enumerate(rights, 1)
+            for a, ra in enumerate(rights[:b - 1], 1) if ra > rb]

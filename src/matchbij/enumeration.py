@@ -40,9 +40,23 @@ class EnumerationCapError(ValueError):
 
 
 def enum_cap() -> int:
-    """The enumeration cap for full double-factorial streams."""
+    """The enumeration cap for full double-factorial streams.
+
+    Reads MATCHBIJ_ENUM_CAP when it is set and nonempty; anything but a
+    positive integer there is an ``EnumerationCapError`` naming the value.
+    """
     raw = os.environ.get("MATCHBIJ_ENUM_CAP")
-    return int(raw) if raw else DEFAULT_ENUM_CAP
+    if not raw:
+        return DEFAULT_ENUM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise EnumerationCapError(
+            f"MATCHBIJ_ENUM_CAP must be a positive integer, got {raw!r}"
+        )
+    return cap
 
 
 def double_factorial(m: int) -> int:

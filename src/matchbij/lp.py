@@ -7,7 +7,7 @@ between consecutive hairpin endpoints. Noncrossing matchings are the empty-
 hairpin case.
 
 Counting is exact integer arithmetic throughout; the closed form is
-2 * 4^(n-1) - (3n-1)/(2n+2) * C(2n, n), and the division is asserted to be
+2 * 4^(n-1) - (3n-1)/(2n+2) * C(2n, n), and the division is checked to be
 exact before it is performed.
 """
 
@@ -44,7 +44,11 @@ class HairpinDecomposition:
     gaps: dict[int, int]
 
     def __post_init__(self):
-        assert bool(self.a_side) == bool(self.b_side)
+        if bool(self.a_side) != bool(self.b_side):
+            raise ValueError(
+                f"hairpin sides must be both empty or both nonempty, got "
+                f"A = {self.a_side}, B = {self.b_side}"
+            )
 
 
 def find_inflated_hairpin(m: Matching) -> Optional[HairpinDecomposition]:
@@ -86,7 +90,12 @@ def find_inflated_hairpin(m: Matching) -> Optional[HairpinDecomposition]:
                 return None
     # A and B now absorb every crossing-involved edge, so all crossings are
     # A x B pairs.
-    assert cross_count == len(a_side) * len(b_side)
+    if cross_count != len(a_side) * len(b_side):
+        raise ValueError(
+            f"{cross_count} crossings, but the hairpin sides of sizes "
+            f"{len(a_side)} and {len(b_side)} account for "
+            f"{len(a_side) * len(b_side)}"
+        )
 
     hairpin_labels = crosses_larger | crosses_smaller
     hairpin_vertices = sorted(
@@ -115,9 +124,10 @@ def lp_count_formula(n: int) -> int:
         raise ValueError(f"n must be positive, got {n}")
     numerator = (3 * n - 1) * comb(2 * n, n)
     denominator = 2 * n + 2
-    assert numerator % denominator == 0, (
-        f"(3n-1)*C(2n,n) = {numerator} is not divisible by 2n+2 = {denominator}"
-    )
+    if numerator % denominator:
+        raise ValueError(
+            f"(3n-1)*C(2n,n) = {numerator} is not divisible by 2n+2 = {denominator}"
+        )
     return 2 * 4 ** (n - 1) - numerator // denominator
 
 

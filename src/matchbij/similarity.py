@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
-    LabeledMatching,
     LRSequence,
     Matching,
     lr_sequence,
@@ -19,7 +18,7 @@ from .core import (
     nep,
     stats,
 )
-from .bijections import NotRepresentativeError, swap_left, tau_inv
+from .bijections import NotRepresentativeError, _swap_walk, tau_inv
 from .enumeration import all_matchings, noncrossing_matchings
 
 __all__ = [
@@ -80,13 +79,14 @@ def ns_stream(n: int):
 
     Walks each noncrossing matching's swap sequence; every step is one
     representative, and no representative repeats across the stream.
+
+    O(n^2) per noncrossing matching for its ``nep`` list, then O(n) per
+    yielded representative, which is the cost of building it.
     """
     for m in noncrossing_matchings(n):
         yield m
-        lm = LabeledMatching.fresh(m)
-        for pair in nep(m):
-            lm = swap_left(lm, *pair)
-            yield lm.to_matching()
+        for partner in _swap_walk(m, nep(m)):
+            yield Matching(n, tuple(partner))
 
 
 def ns_representatives(n: int) -> set[Matching]:

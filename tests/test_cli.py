@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,3 +192,29 @@ class TestExitCodes:
         monkeypatch.setenv("MATCHBIJ_ENUM_CAP", "3")
         code, _, err = cli(["count", "matchings", "--n", "4", "--brute"])
         assert code == 1 and "cap 3" in err
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["count", "matchings", "--n", "2", "--brute"],
+        ["enumerate", "noncrossing", "--n", "2"],
+    ])
+    def test_bad_env_cap(self, cli, monkeypatch, value, argv):
+        monkeypatch.setenv("MATCHBIJ_ENUM_CAP", value)
+        code, out, err = cli(argv)
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: MATCHBIJ_ENUM_CAP must be a positive integer, got {value!r}\n"
+        )
+
+
+@pytest.mark.parametrize("module", ["matchbij", "matchbij.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "count", "lp", "--n", "4"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, f"{lp_count_formula(4)}\n", "")

@@ -84,3 +84,4 @@ def test_nep_is_sorted_by_second_then_first(m):
     pairs = nep(m)
     assert pairs == sorted(pairs, key=lambda p: (p[1], p[0]))
     assert len(pairs) == stats(m).ne
+    assert set(pairs) == set(nestings(m)[1])

@@ -11,6 +11,8 @@ from matchbij import (
     is_noncrossing,
     lp_count_formula,
 )
+from matchbij import lp
+from matchbij.lp import HairpinDecomposition
 from matchbij.verify import mirror
 
 
@@ -46,6 +48,28 @@ class TestFindInflatedHairpin:
 
     def test_two_separate_hairpins_rejected(self):
         assert find_inflated_hairpin(from_pairs([(0, 2), (1, 3), (4, 6), (5, 7)], 4)) is None
+
+
+class TestRuntimeChecks:
+    """The invariant checks raise ValueError, so ``python -O`` keeps them."""
+
+    def test_decomposition_rejects_one_sided_hairpin(self):
+        with pytest.raises(ValueError, match="both empty or both nonempty"):
+            HairpinDecomposition((1,), (), {})
+
+    def test_crossing_count_mismatch(self, monkeypatch, lp_example):
+        def one_crossing_too_many(m):
+            count, pairs = crossings(m)
+            return count + 1, pairs
+
+        monkeypatch.setattr(lp, "crossings", one_crossing_too_many)
+        with pytest.raises(ValueError, match="5 crossings, but the hairpin sides"):
+            find_inflated_hairpin(lp_example)
+
+    def test_inexact_division(self, monkeypatch):
+        monkeypatch.setattr(lp, "comb", lambda a, b: 1)
+        with pytest.raises(ValueError, match="not divisible by 2n\\+2"):
+            lp_count_formula(4)
 
 
 class TestIsLp:
