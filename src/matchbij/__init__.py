@@ -7,151 +7,19 @@ can be enumerated and every claimed bijection round-tripped over the whole
 domain at small sizes.
 """
 
-from .core import (
-    Edge,
-    InvalidMatchingError,
-    LabeledMatching,
-    LRSequence,
-    Matching,
-    MatchingStats,
-    alignments,
-    crossings,
-    edges,
-    from_pairs,
-    is_noncrossing,
-    lperm,
-    lr_sequence,
-    matching_from_lr,
-    nc,
-    nep,
-    nestings,
-    rperm,
-    stats,
-)
-from .lp import (
-    HairpinDecomposition,
-    enumerate_lp,
-    find_inflated_hairpin,
-    is_lp,
-    lp_count_formula,
-)
-from .bijections import (
-    NCNTriple,
-    NotLPError,
-    NotRepresentativeError,
-    SwapStep,
-    SwapTrace,
-    phi,
-    phi_inv,
-    sigma,
-    sigma_inv,
-    swap_left,
-    swap_sequence,
-    tau,
-    tau_inv,
-)
-from .similarity import (
-    ClassKey,
-    census,
-    class_key,
-    is_representative,
-    ns_representatives,
-    ns_stream,
-)
-from .enumeration import (
-    DEFAULT_ENUM_CAP,
-    EnumerationCapError,
-    all_matchings,
-    catalan,
-    double_factorial,
-    enum_cap,
-    ncn_elements,
-    noncrossing_matchings,
-)
-from .formats import (
-    DotBracketString,
-    ParseError,
-    emit_dotbracket,
-    emit_matching,
-    emit_ncn,
-    emit_pairs,
-    emit_partner,
-    parse_dotbracket,
-    parse_input,
-    parse_ncn,
-    parse_pairs,
-    parse_partner,
-)
-from .render import RenderSpec, render, render_svg, render_text
+from . import bijections, core, enumeration, formats, lp, render, similarity
+
+# Built before the star imports, because ``from .render import *`` rebinds
+# ``render`` from the module to the function.
+__all__ = [name for module in (core, lp, bijections, similarity, enumeration, formats, render)
+           for name in module.__all__]
+
+from .core import *  # noqa: E402,F401,F403
+from .lp import *  # noqa: E402,F401,F403
+from .bijections import *  # noqa: E402,F401,F403
+from .similarity import *  # noqa: E402,F401,F403
+from .enumeration import *  # noqa: E402,F401,F403
+from .formats import *  # noqa: E402,F401,F403
+from .render import *  # noqa: E402,F401,F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Edge",
-    "InvalidMatchingError",
-    "LabeledMatching",
-    "LRSequence",
-    "Matching",
-    "MatchingStats",
-    "alignments",
-    "crossings",
-    "edges",
-    "from_pairs",
-    "is_noncrossing",
-    "lperm",
-    "lr_sequence",
-    "matching_from_lr",
-    "nc",
-    "nep",
-    "nestings",
-    "rperm",
-    "stats",
-    "HairpinDecomposition",
-    "enumerate_lp",
-    "find_inflated_hairpin",
-    "is_lp",
-    "lp_count_formula",
-    "NCNTriple",
-    "NotLPError",
-    "NotRepresentativeError",
-    "SwapStep",
-    "SwapTrace",
-    "phi",
-    "phi_inv",
-    "sigma",
-    "sigma_inv",
-    "swap_left",
-    "swap_sequence",
-    "tau",
-    "tau_inv",
-    "ClassKey",
-    "census",
-    "class_key",
-    "is_representative",
-    "ns_representatives",
-    "ns_stream",
-    "DEFAULT_ENUM_CAP",
-    "EnumerationCapError",
-    "all_matchings",
-    "catalan",
-    "double_factorial",
-    "enum_cap",
-    "ncn_elements",
-    "noncrossing_matchings",
-    "DotBracketString",
-    "ParseError",
-    "emit_dotbracket",
-    "emit_matching",
-    "emit_ncn",
-    "emit_pairs",
-    "emit_partner",
-    "parse_dotbracket",
-    "parse_input",
-    "parse_ncn",
-    "parse_pairs",
-    "parse_partner",
-    "RenderSpec",
-    "render",
-    "render_svg",
-    "render_text",
-]

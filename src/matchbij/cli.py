@@ -8,6 +8,7 @@ not a representative, enumeration cap), 2 usage or input-parse errors.
 
 import argparse
 import sys
+from math import exp, lgamma, log, log1p
 from typing import Optional
 
 from .core import InvalidMatchingError, crossings, is_noncrossing, lr_sequence, stats
@@ -95,8 +96,35 @@ def _read_input(infile: Optional[str]) -> str:
     return sys.stdin.read()
 
 
+def _check_count_prints(what: str, n: int) -> None:
+    """Refuse a count that is too long to print under the interpreter's digit
+    limit, judged from n through lgamma before the count is computed."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if not limit:
+        return
+    try:
+        ln_central = lgamma(2 * n + 1) - 2 * lgamma(n + 1)  # ln C(2n, n)
+        if what == "matchings":  # (2n-1)!! = C(2n, n) n! / 2^n
+            ln_count = ln_central + lgamma(n + 1) - n * log(2)
+        elif what == "noncrossing":  # C(2n, n) / (n + 1)
+            ln_count = ln_central - log(n + 1)
+        else:  # lp, classes and ncn all count 2^(2n-1) - (3n-1)/(2n+2) C(2n, n)
+            ln_top = (2 * n - 1) * log(2)
+            ln_count = ln_top + log1p(-(3 * n - 1) / (2 * n + 2) * exp(ln_central - ln_top))
+        fits = ln_count / log(10) < limit
+    except OverflowError:  # n is too large for a float
+        fits = False
+    if not fits:
+        raise ValueError(
+            f"count {what} --n {n} has more than {limit} digits, the interpreter's "
+            f"limit for printing an integer (PYTHONINTMAXSTRDIGITS)")
+
+
 def _cmd_count(args) -> int:
     n = args.n
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    _check_count_prints(args.what, n)
     if args.what == "matchings":
         value = (sum(1 for _ in all_matchings(n)) if args.brute
                  else double_factorial(2 * n - 1))

@@ -3,8 +3,10 @@
 Each check exhaustively tests one property at a given size and reports
 (name, passed, detail). The suites parallel the library layers: core
 statistics, the L & P family, the bijections, and the similarity census.
+A family that several checks read is built once per run, on first use.
 """
 
+from functools import cached_property
 from typing import Callable
 
 from .core import (
@@ -23,8 +25,8 @@ from .core import (
     stats,
 )
 from .lp import find_inflated_hairpin, is_lp, lp_count_formula
-from .bijections import NCNTriple, phi, phi_inv, sigma, sigma_inv, swap_sequence, tau, tau_inv
-from .similarity import census, class_key, ns_representatives
+from .bijections import phi, phi_inv, sigma, sigma_inv, swap_sequence, tau, tau_inv
+from .similarity import ClassKey, census, class_key, ns_representatives
 from .enumeration import all_matchings, catalan, double_factorial, ncn_elements, noncrossing_matchings
 
 __all__ = ["SUITES", "run_suite", "mirror"]
@@ -39,14 +41,38 @@ def mirror(m: Matching) -> Matching:
     return from_pairs(pairs, m.n)
 
 
+class _Families:
+    """The families that the checks of one verify run share, built lazily."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    @cached_property
+    def lp(self) -> list[Matching]:
+        # The brute filter: the oracle for the census and every phi and sigma check.
+        return [m for m in all_matchings(self.n) if is_lp(m)]
+
+    @cached_property
+    def census(self) -> tuple[int, dict[ClassKey, int]]:
+        return census(self.n)
+
+    @cached_property
+    def representatives(self) -> set[Matching]:
+        return ns_representatives(self.n)
+
+    @cached_property
+    def noncrossing(self) -> list[Matching]:
+        return list(noncrossing_matchings(self.n))
+
+
 def _ok(count: int, what: str) -> tuple[bool, str]:
     return True, f"checked {count} {what}"
 
 
-def _check_pair_partition(n: int) -> tuple[bool, str]:
-    total = n * (n - 1) // 2
+def _check_pair_partition(fam: _Families) -> tuple[bool, str]:
+    total = fam.n * (fam.n - 1) // 2
     count = 0
-    for m in all_matchings(n):
+    for m in all_matchings(fam.n):
         st = stats(m)
         al = alignments(m)[0]
         if st.ne + st.cr + al != total:
@@ -55,18 +81,18 @@ def _check_pair_partition(n: int) -> tuple[bool, str]:
     return _ok(count, "matchings")
 
 
-def _check_lr_projection(n: int) -> tuple[bool, str]:
+def _check_lr_projection(fam: _Families) -> tuple[bool, str]:
     count = 0
-    for m in all_matchings(n):
+    for m in all_matchings(fam.n):
         if lr_sequence(nc(m)) != lr_sequence(m):
             return False, f"projection changes LR word on {m}"
         count += 1
     return _ok(count, "matchings")
 
 
-def _check_projection_idempotent(n: int) -> tuple[bool, str]:
+def _check_projection_idempotent(fam: _Families) -> tuple[bool, str]:
     count = 0
-    for m in all_matchings(n):
+    for m in all_matchings(fam.n):
         p = nc(m)
         if nc(p) != p:
             return False, f"projection not idempotent on {m}"
@@ -76,9 +102,8 @@ def _check_projection_idempotent(n: int) -> tuple[bool, str]:
     return _ok(count, "matchings")
 
 
-def _check_rperm_nesting(n: int) -> tuple[bool, str]:
-    count = 0
-    for m in noncrossing_matchings(n):
+def _check_rperm_nesting(fam: _Families) -> tuple[bool, str]:
+    for m in fam.noncrossing:
         order = rperm(m)
         position = {label: i for i, label in enumerate(order)}
         nested = set(nestings(m)[1])
@@ -86,13 +111,12 @@ def _check_rperm_nesting(n: int) -> tuple[bool, str]:
             for b in range(a + 1, m.n + 1):
                 if ((a, b) in nested) != (position[b] < position[a]):
                     return False, f"rperm order test fails on {m} at ({a},{b})"
-        count += 1
-    return _ok(count, "noncrossing matchings")
+    return _ok(len(fam.noncrossing), "noncrossing matchings")
 
 
-def _check_projection_max_ne(n: int) -> tuple[bool, str]:
+def _check_projection_max_ne(fam: _Families) -> tuple[bool, str]:
     best: dict[str, int] = {}
-    for m in all_matchings(n):
+    for m in all_matchings(fam.n):
         w = lr_sequence(m).word
         ne = stats(m).ne
         if best.get(w, -1) < ne:
@@ -103,9 +127,9 @@ def _check_projection_max_ne(n: int) -> tuple[bool, str]:
     return _ok(len(best), "LR words")
 
 
-def _check_edges_roundtrip(n: int) -> tuple[bool, str]:
+def _check_edges_roundtrip(fam: _Families) -> tuple[bool, str]:
     count = 0
-    for m in all_matchings(n):
+    for m in all_matchings(fam.n):
         rebuilt = from_pairs([(e.left, e.right) for e in edges(m)], m.n)
         if rebuilt != m:
             return False, f"edge-list round trip fails on {m}"
@@ -113,108 +137,89 @@ def _check_edges_roundtrip(n: int) -> tuple[bool, str]:
     return _ok(count, "matchings")
 
 
-def _check_lp_census(n: int) -> tuple[bool, str]:
-    brute = sum(1 for m in all_matchings(n) if is_lp(m))
-    expected = lp_count_formula(n)
+def _check_lp_census(fam: _Families) -> tuple[bool, str]:
+    brute = len(fam.lp)
+    expected = lp_count_formula(fam.n)
     if brute != expected:
         return False, f"filter count {brute} != formula {expected}"
     return True, f"{brute} L & P matchings, matching the formula"
 
 
-def _check_hairpin_right_order(n: int) -> tuple[bool, str]:
-    count = 0
-    for m in all_matchings(n):
-        d = find_inflated_hairpin(m)
-        if d is None or not d.a_side:
-            continue
+def _check_hairpin_right_order(fam: _Families) -> tuple[bool, str]:
+    crossing = [(m, d) for m in fam.lp if (d := find_inflated_hairpin(m)).a_side]
+    for m, d in crossing:
         es = edges(m)
         hairpin = list(d.a_side) + list(d.b_side)
         by_position = sorted(hairpin, key=lambda label: es[label - 1].right)
         expected = list(reversed(d.a_side)) + list(reversed(d.b_side))
         if by_position != expected:
             return False, f"right-endpoint order fails on {m}"
-        count += 1
-    return _ok(count, "hairpin matchings")
+    return _ok(len(crossing), "hairpin matchings")
 
 
-def _check_lp_mirror(n: int) -> tuple[bool, str]:
+def _check_lp_mirror(fam: _Families) -> tuple[bool, str]:
+    # fam.lp holds every L & P matching of this size, mirror images included.
+    members = set(fam.lp)
     count = 0
-    for m in all_matchings(n):
-        if is_lp(m) != is_lp(mirror(m)):
+    for m in all_matchings(fam.n):
+        if (m in members) != (mirror(m) in members):
             return False, f"mirror changes membership on {m}"
         count += 1
     return _ok(count, "matchings")
 
 
-def _check_crossing_product(n: int) -> tuple[bool, str]:
-    count = 0
-    for m in all_matchings(n):
+def _check_crossing_product(fam: _Families) -> tuple[bool, str]:
+    for m in fam.lp:
         d = find_inflated_hairpin(m)
-        if d is None:
-            continue
         if crossings(m)[0] != len(d.a_side) * len(d.b_side):
             return False, f"crossing count != |A|*|B| on {m}"
-        count += 1
-    return _ok(count, "L & P matchings")
+    return _ok(len(fam.lp), "L & P matchings")
 
 
-def _check_phi_roundtrip(n: int) -> tuple[bool, str]:
-    count = 0
-    for m in all_matchings(n):
-        if not is_lp(m):
-            continue
+def _check_phi_roundtrip(fam: _Families) -> tuple[bool, str]:
+    for m in fam.lp:
         if phi_inv(phi(m)) != m:
             return False, f"phi round trip fails on {m}"
-        count += 1
-    return _ok(count, "L & P matchings")
+    return _ok(len(fam.lp), "L & P matchings")
 
 
-def _check_phi_inv_roundtrip(n: int) -> tuple[bool, str]:
+def _check_phi_inv_roundtrip(fam: _Families) -> tuple[bool, str]:
     count = 0
-    for t in ncn_elements(n):
+    for t in ncn_elements(fam.n):
         if phi(phi_inv(t)) != t:
             return False, f"phi_inv round trip fails on {t}"
         count += 1
     return _ok(count, "triples")
 
 
-def _check_tau_roundtrip(n: int) -> tuple[bool, str]:
+def _check_tau_roundtrip(fam: _Families) -> tuple[bool, str]:
     count = 0
-    for t in ncn_elements(n):
+    for t in ncn_elements(fam.n):
         if tau_inv(tau(t)) != t:
             return False, f"tau round trip fails on {t}"
         count += 1
     return _ok(count, "triples")
 
 
-def _check_sigma_roundtrip(n: int) -> tuple[bool, str]:
-    count = 0
-    for m in all_matchings(n):
-        if not is_lp(m):
-            continue
+def _check_sigma_roundtrip(fam: _Families) -> tuple[bool, str]:
+    for m in fam.lp:
         if sigma_inv(sigma(m)) != m:
             return False, f"sigma round trip fails on {m}"
-        count += 1
-    return _ok(count, "L & P matchings")
+    return _ok(len(fam.lp), "L & P matchings")
 
 
-def _check_sigma_properties(n: int) -> tuple[bool, str]:
-    count = 0
-    for m in all_matchings(n):
-        if not is_lp(m):
-            continue
+def _check_sigma_properties(fam: _Families) -> tuple[bool, str]:
+    for m in fam.lp:
         image = sigma(m)
         if lr_sequence(image) != lr_sequence(m):
             return False, f"sigma changes the LR word of {m}"
         if is_noncrossing(m) and image != m:
             return False, f"sigma moves the noncrossing matching {m}"
-        count += 1
-    return _ok(count, "L & P matchings")
+    return _ok(len(fam.lp), "L & P matchings")
 
 
-def _check_swap_nestings(n: int) -> tuple[bool, str]:
-    count = 0
-    for m in noncrossing_matchings(n):
+def _check_swap_nestings(fam: _Families) -> tuple[bool, str]:
+    for m in fam.noncrossing:
         trace = swap_sequence(m)
         order = nep(m)
         k = len(order)
@@ -223,13 +228,11 @@ def _check_swap_nestings(n: int) -> tuple[bool, str]:
                 return False, f"nesting count at step {i} of {m} is {step.ne}"
             if nep(step.matching) != order[i:]:
                 return False, f"nested-pair list at step {i} of {m} is wrong"
-        count += 1
-    return _ok(count, "noncrossing matchings")
+    return _ok(len(fam.noncrossing), "noncrossing matchings")
 
 
-def _check_swap_adjacency(n: int) -> tuple[bool, str]:
-    count = 0
-    for m in noncrossing_matchings(n):
+def _check_swap_adjacency(fam: _Families) -> tuple[bool, str]:
+    for m in fam.noncrossing:
         trace = swap_sequence(m)
         order = nep(m)
         for i, pair in enumerate(order):
@@ -239,26 +242,22 @@ def _check_swap_adjacency(n: int) -> tuple[bool, str]:
             if b_at != a_at + 1:
                 return False, (f"pair {pair} not adjacent in order at step {i} "
                                f"of {m}: lperm {lp_now}")
-        count += 1
-    return _ok(count, "noncrossing matchings")
+    return _ok(len(fam.noncrossing), "noncrossing matchings")
 
 
-def _check_sigma_image(n: int) -> tuple[bool, str]:
-    images = []
-    for m in all_matchings(n):
-        if is_lp(m):
-            images.append(sigma(m))
+def _check_sigma_image(fam: _Families) -> tuple[bool, str]:
+    images = [sigma(m) for m in fam.lp]
     if len(set(images)) != len(images):
         return False, "sigma images collide"
-    if set(images) != ns_representatives(n):
+    if set(images) != fam.representatives:
         return False, "sigma image set differs from the representative set"
     return True, f"{len(images)} distinct images covering all representatives"
 
 
-def _check_class_counts(n: int) -> tuple[bool, str]:
-    classes, _ = census(n)
-    reps = ns_representatives(n)
-    expected = lp_count_formula(n)
+def _check_class_counts(fam: _Families) -> tuple[bool, str]:
+    classes, _ = fam.census
+    reps = fam.representatives
+    expected = lp_count_formula(fam.n)
     if classes != expected:
         return False, f"census count {classes} != formula {expected}"
     if len(reps) != expected:
@@ -266,9 +265,9 @@ def _check_class_counts(n: int) -> tuple[bool, str]:
     return True, f"{classes} classes, one representative each"
 
 
-def _check_key_bijection(n: int) -> tuple[bool, str]:
-    _, table = census(n)
-    keys = [class_key(r) for r in ns_representatives(n)]
+def _check_key_bijection(fam: _Families) -> tuple[bool, str]:
+    _, table = fam.census
+    keys = [class_key(r) for r in fam.representatives]
     if len(set(keys)) != len(keys):
         return False, "two representatives share a class key"
     if set(keys) != set(table):
@@ -276,10 +275,10 @@ def _check_key_bijection(n: int) -> tuple[bool, str]:
     return True, f"keys biject onto {len(keys)} census classes"
 
 
-def _check_coverage(n: int) -> tuple[bool, str]:
-    _, table = census(n)
+def _check_coverage(fam: _Families) -> tuple[bool, str]:
+    _, table = fam.census
     seen = set()
-    for m in noncrossing_matchings(n):
+    for m in fam.noncrossing:
         k = stats(m).ne
         word = lr_sequence(m)
         for i in range(k + 1):
@@ -289,20 +288,20 @@ def _check_coverage(n: int) -> tuple[bool, str]:
     return True, f"all {len(seen)} (word, count) classes witnessed"
 
 
-def _check_stream_counts(n: int) -> tuple[bool, str]:
-    total = sum(1 for _ in all_matchings(n))
-    if total != double_factorial(2 * n - 1):
+def _check_stream_counts(fam: _Families) -> tuple[bool, str]:
+    total = sum(1 for _ in all_matchings(fam.n))
+    if total != double_factorial(2 * fam.n - 1):
         return False, f"full stream yields {total}"
-    nc_total = sum(1 for _ in noncrossing_matchings(n))
-    if nc_total != catalan(n):
+    nc_total = len(fam.noncrossing)
+    if nc_total != catalan(fam.n):
         return False, f"noncrossing stream yields {nc_total}"
-    ncn_total = sum(1 for _ in ncn_elements(n))
-    if ncn_total != lp_count_formula(n):
+    ncn_total = sum(1 for _ in ncn_elements(fam.n))
+    if ncn_total != lp_count_formula(fam.n):
         return False, f"triple stream yields {ncn_total}"
     return True, f"{total}, {nc_total}, {ncn_total} elements as counted"
 
 
-SUITES: dict[str, list[tuple[str, Callable[[int], tuple[bool, str]]]]] = {
+SUITES: dict[str, list[tuple[str, Callable[[_Families], tuple[bool, str]]]]] = {
     "core": [
         ("pair-partition", _check_pair_partition),
         ("lr-preserved-by-projection", _check_lr_projection),
@@ -347,9 +346,10 @@ def run_suite(n: int, suite: str = "all") -> list[CheckResult]:
     else:
         raise ValueError(
             f"unknown suite {suite!r}; expected one of {', '.join(SUITES)} or all")
+    families = _Families(n)
     results = []
     for name in names:
         for check_name, fn in SUITES[name]:
-            ok, detail = fn(n)
+            ok, detail = fn(families)
             results.append((f"{name}/{check_name}", ok, detail))
     return results

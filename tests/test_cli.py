@@ -2,16 +2,18 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from matchbij import emit_pairs, from_pairs, lp_count_formula
+from matchbij import catalan, double_factorial, emit_pairs, from_pairs, lp_count_formula
 from matchbij.cli import run
 
 LP_PAIRS = "7\n0 9\n1 6\n2 3\n4 13\n5 10\n7 8\n11 12\n"
 NC_PAIRS = "7\n0 13\n1 10\n2 3\n4 9\n5 6\n7 8\n11 12\n"
 REP_PAIRS = "7\n0 3\n1 9\n2 6\n4 10\n5 13\n7 8\n11 12\n"
+COUNTED = ["matchings", "noncrossing", "lp", "classes", "ncn"]
 
 
 @pytest.fixture
@@ -51,6 +53,46 @@ class TestCount:
     def test_cap_exceeded_is_domain_error(self, cli):
         code, out, err = cli(["count", "matchings", "--n", "9", "--brute"])
         assert code == 1 and "cap" in err
+
+    @pytest.mark.parametrize("brute", [[], ["--brute"]])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize("what", COUNTED)
+    def test_nonpositive_n_is_domain_error(self, cli, what, n, brute):
+        assert cli(["count", what, "--n", n, *brute]) == (
+            1, "", f"error: n must be positive, got {n}\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no digit limit for printing integers")
+    @pytest.mark.parametrize("brute", [[], ["--brute"]])
+    @pytest.mark.parametrize("what", COUNTED)
+    def test_unprintable_count_is_refused_up_front(self, cli, what, brute):
+        start = time.perf_counter()
+        code, out, err = cli(["count", what, "--n", "200000", *brute])
+        assert time.perf_counter() - start < 5
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: count {what} --n 200000 has more than {limit} digits")
+        assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no digit limit for printing integers")
+    def test_printable_counts_are_judged_exactly(self, cli, monkeypatch):
+        # Every closed-form count that fits the limit prints; the first one
+        # past it is refused.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
+        families = {"matchings": lambda n: double_factorial(2 * n - 1),
+                    "noncrossing": catalan, "lp": lp_count_formula}
+        for what, count in families.items():
+            n = 1
+            while count(n) < 10 ** 640:
+                n += 1
+            code, out, _ = cli(["count", what, "--n", str(n - 1)])
+            assert (code, out) == (0, f"{count(n - 1)}\n")
+            assert cli(["count", what, "--n", str(n)])[0] == 1
+
+    def test_large_printable_count(self, cli):
+        code, out, _ = cli(["count", "lp", "--n", "3000"])
+        assert (code, out) == (0, f"{lp_count_formula(3000)}\n")
 
 
 class TestMap:

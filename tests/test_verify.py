@@ -1,6 +1,7 @@
 import pytest
 
-from matchbij import from_pairs
+from matchbij import all_matchings, from_pairs, is_lp
+from matchbij import verify
 from matchbij.verify import SUITES, mirror, run_suite
 
 
@@ -29,3 +30,66 @@ def test_suite_selection():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite(3, "everything")
+
+
+def _results(n, suite):
+    return {name: (ok, detail) for name, ok, detail in run_suite(n, suite)}
+
+
+def test_failing_check_names_the_first_bad_matching(monkeypatch):
+    lp4 = [m for m in all_matchings(4) if is_lp(m)]
+    target = lp4[10]
+    real = verify.phi_inv
+
+    def broken(t):
+        m = real(t)
+        return lp4[0] if m == target else m
+
+    monkeypatch.setattr(verify, "phi_inv", broken)
+    results = _results(4, "bijections")
+    assert results["bijections/phi-roundtrip"] == (
+        False, f"phi round trip fails on {target}")
+    assert results["bijections/tau-roundtrip"][0]
+
+
+def test_shared_representative_set_reaches_every_reader(monkeypatch):
+    real = verify.ns_representatives
+
+    def short(n):
+        reps = real(n)
+        reps.pop()
+        return reps
+
+    monkeypatch.setattr(verify, "ns_representatives", short)
+    results = _results(4, "all")
+    assert results["similarity/class-count-matches-formula"] == (
+        False, "representative count 50 != formula 51")
+    assert results["bijections/sigma-image-is-representative-set"] == (
+        False, "sigma image set differs from the representative set")
+    assert results["similarity/representative-keys-biject"] == (
+        False, "representative keys do not cover the census")
+    assert results["similarity/swap-steps-cover-all-classes"][0]
+
+
+def _count_calls(monkeypatch, name, calls):
+    real = getattr(verify, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(verify, name, counted)
+
+
+def test_one_run_builds_each_family_once(monkeypatch):
+    calls = {"is_lp": 0, "census": 0, "ns_representatives": 0}
+    for name in calls:
+        _count_calls(monkeypatch, name, calls)
+    results = run_suite(4, "all")
+    assert all(ok for _, ok, _ in results)
+    assert calls == {"is_lp": 105, "census": 1, "ns_representatives": 1}
+
+
+def test_core_suite_builds_no_lp_list(monkeypatch):
+    monkeypatch.setattr(verify, "is_lp", None)  # calling it would raise
+    assert all(ok for _, ok, _ in run_suite(4, "core"))
