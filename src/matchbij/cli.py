@@ -26,6 +26,7 @@ from .bijections import (
 from .similarity import census, ns_stream
 from .enumeration import (
     EnumerationCapError,
+    _ln_matchings,
     all_matchings,
     catalan,
     double_factorial,
@@ -104,8 +105,8 @@ def _check_count_prints(what: str, n: int) -> None:
         return
     try:
         ln_central = lgamma(2 * n + 1) - 2 * lgamma(n + 1)  # ln C(2n, n)
-        if what == "matchings":  # (2n-1)!! = C(2n, n) n! / 2^n
-            ln_count = ln_central + lgamma(n + 1) - n * log(2)
+        if what == "matchings":
+            ln_count = _ln_matchings(n)
         elif what == "noncrossing":  # C(2n, n) / (n + 1)
             ln_count = ln_central - log(n + 1)
         else:  # lp, classes and ncn all count 2^(2n-1) - (3n-1)/(2n+2) C(2n, n)

@@ -220,9 +220,11 @@ def lr_sequence(m: AnyMatching) -> LRSequence:
     closes (R) an edge."""
     if isinstance(m, LabeledMatching):
         m = m.to_matching()
-    return LRSequence(
-        "".join("L" if v < m.partner[v] else "R" for v in range(2 * m.n))
-    )
+    return LRSequence(_lr_word(m.partner))
+
+
+def _lr_word(partner: tuple[int, ...]) -> str:
+    return "".join(["L" if v < w else "R" for v, w in enumerate(partner)])
 
 
 def _pair_by_stack(is_left: list[bool]) -> tuple[int, ...]:
@@ -273,58 +275,67 @@ def is_noncrossing(m: AnyMatching) -> bool:
     return True
 
 
+def _scan(partner: tuple[int, ...]) -> tuple[int, int, set[int], set[int]]:
+    """One left-to-right pass over a partner table: ``(ne, cr, A, B)``, with
+    A the labels that cross a larger label and B those that cross a smaller
+    one. O(n + cr + the summed depth of the open arcs), at most O(n^2)."""
+    label_at = [0] * len(partner)
+    opened: list[int] = []  # labels of the open arcs, in opening order
+    ne = cr = count = 0
+    larger, smaller = set(), set()
+    for v, w in enumerate(partner):
+        if v < w:
+            count += 1
+            label_at[v] = count
+            opened.append(count)
+            continue
+        # Of the arcs opened since a, those still open cross it and those
+        # already closed are nested inside it.
+        a = label_at[w]
+        i = opened.index(a)
+        later = opened[i + 1:]
+        del opened[i]
+        ne += count - a - len(later)
+        if later:
+            cr += len(later)
+            larger.add(a)
+            smaller.update(later)
+    return ne, cr, larger, smaller
+
+
 def stats(m: AnyMatching) -> MatchingStats:
-    """Nesting and crossing counts in a single quadratic scan."""
-    es = sorted(_edge_list(m), key=lambda e: e.left)
-    ne = cr = 0
-    k = len(es)
-    for i in range(k):
-        ri = es[i].right
-        for j in range(i + 1, k):
-            lj, rj = es[j].left, es[j].right
-            if lj > ri:
-                continue
-            if rj < ri:
-                ne += 1
-            else:
-                cr += 1
+    """Nesting and crossing counts in one pass over the partner table,
+    O(n + cr + the summed depth of the open arcs), at most O(n^2)."""
+    if isinstance(m, LabeledMatching):
+        m = m.to_matching()
+    ne, cr, _, _ = _scan(m.partner)
     return MatchingStats(ne, cr)
 
 
 def _classified_pairs(m: AnyMatching, kind: str) -> list[tuple[int, int]]:
     es = sorted(_edge_list(m), key=lambda e: e.left)
     out = []
-    k = len(es)
-    for i in range(k):
-        ri, label_i = es[i].right, es[i].label
-        for j in range(i + 1, k):
-            e = es[j]
-            if e.left > ri:
-                got = "alignment"
-            elif e.right < ri:
-                got = "nested"
-            else:
-                got = "crossing"
-            if got == kind:
-                a, b = label_i, e.label
+    for i, (a, _, ra) in enumerate(es):
+        for b, lb, rb in es[i + 1:]:
+            if ("alignment" if lb > ra else "nested" if rb < ra else "crossing") == kind:
                 out.append((a, b) if a < b else (b, a))
     return out
 
 
 def nestings(m: AnyMatching) -> tuple[int, list[tuple[int, int]]]:
-    """All nested label pairs (reported as (min, max)) and their count."""
+    """All nested label pairs (reported as (min, max)) and their count, O(n^2)."""
     pairs = _classified_pairs(m, "nested")
     return len(pairs), pairs
 
 
 def crossings(m: AnyMatching) -> tuple[int, list[tuple[int, int]]]:
-    """All crossing label pairs (reported as (min, max)) and their count."""
+    """All crossing label pairs (reported as (min, max)) and their count, O(n^2)."""
     pairs = _classified_pairs(m, "crossing")
     return len(pairs), pairs
 
 
 def alignments(m: AnyMatching) -> tuple[int, list[tuple[int, int]]]:
-    """All aligned (disjoint) label pairs and their count."""
+    """All aligned (disjoint) label pairs and their count, O(n^2)."""
     pairs = _classified_pairs(m, "alignment")
     return len(pairs), pairs
 

@@ -12,7 +12,7 @@ slightly larger sizes than the full double-factorial ones.
 """
 
 import os
-from math import comb
+from math import comb, inf, lgamma, log
 from typing import Iterator
 
 from .core import Matching, matching_from_lr, nep
@@ -76,12 +76,23 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
+def _ln_matchings(n: int) -> float:
+    # ln (2n-1)!! = ln (2n)! - ln n! - n ln 2, without computing the number.
+    try:
+        return lgamma(2 * n + 1) - lgamma(n + 1) - n * log(2)
+    except OverflowError:  # n is too large for a float
+        return inf
+
+
 def _check_cap(n: int, cap: int, what: str) -> None:
     if n > cap:
+        digits = _ln_matchings(n) / log(10)
+        size = (f"= {double_factorial(2 * n - 1)} matchings" if digits < 30
+                else f"has about {int(digits) + 1} digits" if digits < inf
+                else "is too large to estimate")
         raise EnumerationCapError(
-            f"n={n} exceeds the enumeration cap {cap} for {what}: "
-            f"(2n-1)!! = {double_factorial(2 * n - 1)} matchings at this size "
-            f"(set MATCHBIJ_ENUM_CAP to raise the cap)"
+            f"n={n} exceeds the enumeration cap {cap} for {what}: (2n-1)!! "
+            f"{size} at this size (set MATCHBIJ_ENUM_CAP to raise the cap)"
         )
 
 

@@ -8,11 +8,12 @@ swap sequence; one per class.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import (
     LRSequence,
     Matching,
+    _lr_word,
+    _scan,
     lr_sequence,
     matching_from_lr,
     nep,
@@ -31,12 +32,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _max_nestings(word: str) -> int:
-    # The noncrossing matching maximizes nestings for its LR word.
-    return stats(matching_from_lr(word)).ne
-
-
 @dataclass(frozen=True)
 class ClassKey:
     """The invariant pair (LR word, nesting count) naming a similarity class."""
@@ -47,7 +42,8 @@ class ClassKey:
     def __post_init__(self):
         if self.ne < 0:
             raise ValueError(f"nesting count must be nonnegative, got {self.ne}")
-        ceiling = _max_nestings(self.lr.word)
+        # The noncrossing matching maximizes nestings for its LR word.
+        ceiling = stats(matching_from_lr(self.lr.word)).ne
         if self.ne > ceiling:
             raise ValueError(
                 f"no matching with word {self.lr} has {self.ne} nestings "
@@ -63,15 +59,16 @@ def class_key(m: Matching) -> ClassKey:
 def census(n: int) -> tuple[int, dict[ClassKey, int]]:
     """Group every matching with n edges by class key.
 
-    Returns the class count and a map from key to member count. Only counts
-    are stored, so memory stays bounded by the number of classes rather than
-    the double factorial.
+    Returns the class count and a map from key to member count, keys in
+    first-seen order. Only counts are stored, so memory stays bounded by the
+    number of classes rather than the double factorial. O(n^2) per matching
+    for its nesting count, plus one validated ``ClassKey`` per class.
     """
-    counts: dict[ClassKey, int] = {}
+    counts: dict[tuple[str, int], int] = {}
     for m in all_matchings(n):
-        key = class_key(m)
+        key = (_lr_word(m.partner), _scan(m.partner)[0])
         counts[key] = counts.get(key, 0) + 1
-    return len(counts), counts
+    return len(counts), {ClassKey(LRSequence(w), ne): c for (w, ne), c in counts.items()}
 
 
 def ns_stream(n: int):

@@ -1,0 +1,177 @@
+"""Differential tests of the one-pass classifier behind ``stats``,
+``find_inflated_hairpin`` and ``census`` against the quadratic references
+they replaced: a scan over every pair of edges for the counts, hairpin
+recognition from the ``crossings`` and ``nestings`` pair lists, and a census
+that calls ``class_key`` on every matching.
+"""
+
+from bisect import bisect_left
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from matchbij import (
+    LabeledMatching,
+    NCNTriple,
+    all_matchings,
+    census,
+    class_key,
+    crossings,
+    edges,
+    find_inflated_hairpin,
+    from_pairs,
+    matching_from_lr,
+    nep,
+    nestings,
+    noncrossing_matchings,
+    phi_inv,
+    stats,
+    swap_sequence,
+)
+from matchbij.lp import HairpinDecomposition
+from test_swap_walk import dyck_words
+
+
+def reference_stats(m):
+    es = sorted(m.edges if isinstance(m, LabeledMatching) else edges(m),
+                key=lambda e: e.left)
+    ne = cr = 0
+    for i, ei in enumerate(es):
+        for ej in es[i + 1:]:
+            if ej.left > ei.right:
+                continue
+            if ej.right < ei.right:
+                ne += 1
+            else:
+                cr += 1
+    return ne, cr
+
+
+def reference_hairpin(m):
+    es = edges(m)
+    cross_count, cross_pairs = crossings(m)
+    if cross_count == 0:
+        return HairpinDecomposition((), (), {e.label: 0 for e in es})
+
+    crosses_larger = {a for a, _ in cross_pairs}
+    crosses_smaller = {b for _, b in cross_pairs}
+    if crosses_larger & crosses_smaller:
+        return None
+    a_side = tuple(sorted(crosses_larger))
+    b_side = tuple(sorted(crosses_smaller))
+    if a_side[-1] > b_side[0]:
+        return None
+
+    nested_set = set(nestings(m)[1])
+    for side in (a_side, b_side):
+        for i in range(len(side)):
+            for j in range(i + 1, len(side)):
+                if (side[i], side[j]) not in nested_set:
+                    return None
+    cross_set = set(cross_pairs)
+    for a in a_side:
+        for b in b_side:
+            if (a, b) not in cross_set:
+                return None
+    if cross_count != len(a_side) * len(b_side):
+        raise ValueError("crossings outside the hairpin sides")
+
+    hairpin_labels = crosses_larger | crosses_smaller
+    hairpin_vertices = sorted(
+        v for e in es if e.label in hairpin_labels for v in (e.left, e.right)
+    )
+    gaps = {}
+    for e in es:
+        if e.label in hairpin_labels:
+            continue
+        gl = bisect_left(hairpin_vertices, e.left)
+        if gl != bisect_left(hairpin_vertices, e.right):
+            return None
+        gaps[e.label] = gl
+    return HairpinDecomposition(a_side, b_side, gaps)
+
+
+def reference_census(n):
+    counts = {}
+    for m in all_matchings(n):
+        key = class_key(m)
+        counts[key] = counts.get(key, 0) + 1
+    return len(counts), counts
+
+
+def check(m):
+    assert tuple(stats(m)) == reference_stats(m)
+    assert find_inflated_hairpin(m) == reference_hairpin(m)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_matching_against_reference(n):
+    for m in all_matchings(n):
+        check(m)
+
+
+@pytest.mark.slow
+def test_every_matching_of_size_7_against_reference():
+    for m in all_matchings(7):
+        check(m)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_labeled_swap_traces_against_reference(n):
+    for base in noncrossing_matchings(n):
+        for step in swap_sequence(base).steps:
+            assert tuple(stats(step.matching)) == reference_stats(step.matching)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_census_against_reference(n):
+    got, expected = census(n), reference_census(n)
+    assert got[0] == expected[0]
+    assert list(got[1].items()) == list(expected[1].items())
+
+
+@st.composite
+def matchings(draw, max_edges):
+    n = draw(st.integers(min_value=1, max_value=max_edges))
+    order = draw(st.permutations(range(2 * n)))
+    return from_pairs(zip(order[::2], order[1::2]), n)
+
+
+@st.composite
+def near_lp_matchings(draw, max_edges):
+    """An L & P matching from a random Dyck word and nested pair, with two
+    arcs' right endpoints exchanged half of the time."""
+    base = matching_from_lr(draw(dyck_words(max_edges)))
+    n = base.n
+    order = nep(base)
+    index = draw(st.integers(min_value=0, max_value=len(order)))
+    pairs = phi_inv(NCNTriple(base, order[index - 1] if index else None)).pairs()
+    if draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        (li, ri), (lj, rj) = pairs[i], pairs[j]
+        pairs[i], pairs[j] = (li, rj), (lj, ri)
+    return from_pairs(pairs, n)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(matchings(max_edges=300))
+def test_random_matchings_against_reference(m):
+    check(m)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(near_lp_matchings(max_edges=300))
+def test_near_lp_matchings_against_reference(m):
+    check(m)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(k, 2399 - k) for k in range(1200)],  # nested ladder
+    [(k, 1200 + k) for k in range(1200)],  # every pair crosses
+    [(k, 1799 - k) for k in range(600)] + [(600 + k, 2399 - k) for k in range(600)],
+], ids=["ladder", "all-crossing", "hairpin"])
+def test_1200_edges_against_reference(pairs):
+    check(from_pairs(pairs, 1200))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from matchbij import enumeration
 from matchbij import catalan, double_factorial, emit_pairs, from_pairs, lp_count_formula
 from matchbij.cli import run
 
@@ -247,6 +248,24 @@ class TestExitCodes:
         assert err == (
             f"error: MATCHBIJ_ENUM_CAP must be a positive integer, got {value!r}\n"
         )
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "ncn", "--n", "2000"],
+        ["enumerate", "all", "--n", "200000"],
+        ["enumerate", "ns", "--n", "2000"],
+        ["enumerate", "all", "--n", "1" + "0" * 400],
+    ])
+    def test_cap_message_at_large_n_never_computes_the_count(self, cli, monkeypatch, argv):
+        def refuse(m):
+            raise AssertionError(f"computed ({m})!!")
+
+        monkeypatch.setattr(enumeration, "double_factorial", refuse)
+        start = time.perf_counter()
+        code, out, err = cli(argv)
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: n={argv[-1]} exceeds the enumeration cap")
+        assert "MATCHBIJ_ENUM_CAP" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("module", ["matchbij", "matchbij.cli"])

@@ -1,3 +1,5 @@
+from math import floor, log10
+
 import pytest
 
 from matchbij import (
@@ -77,6 +79,15 @@ class TestCaps:
     def test_default_cap_blocks_full_enumeration(self):
         with pytest.raises(EnumerationCapError, match=r"\(2n-1\)!! = 34459425"):
             next(all_matchings(9))
+
+    @pytest.mark.parametrize("n", [23, 24, 100, 2000])
+    def test_long_count_is_given_in_digits(self, n):
+        digits = floor(log10(double_factorial(2 * n - 1))) + 1
+        with pytest.raises(EnumerationCapError) as info:
+            next(all_matchings(n))
+        expected = (f"= {double_factorial(2 * n - 1)} matchings" if digits <= 30
+                    else f"has about {digits} digits")
+        assert f"(2n-1)!! {expected} at this size" in str(info.value)
 
     def test_env_var_override(self, monkeypatch):
         monkeypatch.setenv("MATCHBIJ_ENUM_CAP", "2")

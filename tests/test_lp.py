@@ -57,15 +57,6 @@ class TestRuntimeChecks:
         with pytest.raises(ValueError, match="both empty or both nonempty"):
             HairpinDecomposition((1,), (), {})
 
-    def test_crossing_count_mismatch(self, monkeypatch, lp_example):
-        def one_crossing_too_many(m):
-            count, pairs = crossings(m)
-            return count + 1, pairs
-
-        monkeypatch.setattr(lp, "crossings", one_crossing_too_many)
-        with pytest.raises(ValueError, match="5 crossings, but the hairpin sides"):
-            find_inflated_hairpin(lp_example)
-
     def test_inexact_division(self, monkeypatch):
         monkeypatch.setattr(lp, "comb", lambda a, b: 1)
         with pytest.raises(ValueError, match="not divisible by 2n\\+2"):
