@@ -27,8 +27,6 @@ from .core import (
     LabeledMatching,
     Matching,
     crossings,
-    edges,
-    from_pairs,
     is_noncrossing,
     lperm,
     nc,
@@ -70,6 +68,9 @@ class NCNTriple:
 
     ``pair`` is (a, b) with a < b nested in ``base``, or None for "no pair
     chosen" (serialized as the sentinel pair 0 0).
+
+    Construction checks both facts in O(1) per triple after O(n) once per
+    base: the noncrossing verdict and the pair table are kept on the base.
     """
 
     base: Matching
@@ -84,9 +85,8 @@ class NCNTriple:
                 raise ValueError(
                     f"pair {self.pair} is not an increasing pair of edge labels"
                 )
-            es = edges(self.base)
-            ea, eb = es[a - 1], es[b - 1]
-            if not (ea.left < eb.left and eb.right < ea.right):
+            (la, ra), (lb, rb) = self.base._ends[a - 1], self.base._ends[b - 1]
+            if not (la < lb and rb < ra):
                 raise ValueError(f"edges {a} and {b} are not nested in the base")
 
 
@@ -207,25 +207,23 @@ def phi_inv(t: NCNTriple) -> Matching:
     the edges nesting b (labels in (a, b]); their right endpoints are then
     reassigned, in increasing position, to the side sequences read outermost
     last, which turns every A-B nesting into a crossing.
+
+    O(n log n) for n edges, reading the pair table kept on the base.
     """
     if t.pair is None:
         return t.base
     a, b = t.pair
-    es = edges(t.base)
-
-    def encloses(outer: Edge, inner: Edge) -> bool:
-        return outer.left < inner.left and inner.right < outer.right
-
-    a_side = [x for x in range(1, a) if encloses(es[x - 1], es[a - 1])] + [a]
-    b_side = [x for x in range(a + 1, b) if encloses(es[x - 1], es[b - 1])] + [b]
-    slots = sorted(es[x - 1].right for x in a_side + b_side)
-    receive_order = list(reversed(a_side)) + list(reversed(b_side))
-    new_right = dict(zip(receive_order, slots))
-    pairs = [
-        (e.left, new_right.get(e.label, e.right))
-        for e in es
-    ]
-    return from_pairs(pairs, t.base.n)
+    ends = t.base._ends
+    # Labels follow left endpoints, so an earlier label encloses a later one
+    # iff its right endpoint lies further right.
+    a_side = [x for x in range(1, a) if ends[x - 1][1] > ends[a - 1][1]] + [a]
+    b_side = [x for x in range(a + 1, b) if ends[x - 1][1] > ends[b - 1][1]] + [b]
+    slots = sorted(ends[x - 1][1] for x in a_side + b_side)
+    partner = list(t.base.partner)
+    for x, right in zip(a_side[::-1] + b_side[::-1], slots):
+        left = ends[x - 1][0]
+        partner[left], partner[right] = right, left
+    return Matching(t.base.n, tuple(partner))
 
 
 def tau(t: NCNTriple) -> Matching:

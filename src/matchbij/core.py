@@ -11,6 +11,7 @@ coordination.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Union
 
 __all__ = [
@@ -46,6 +47,10 @@ class Matching:
 
     ``partner[v]`` is the position matched with position ``v``; the table is
     a fixed-point-free involution of {0, ..., 2n-1}.
+
+    Facts derived from the table (the noncrossing verdict, the pair table)
+    are computed on first use and kept on the instance; equality, hashing
+    and ``repr`` see only ``n`` and ``partner``.
     """
 
     n: int
@@ -79,6 +84,22 @@ class Matching:
     def __repr__(self):
         body = ",".join(f"({l},{r})" for l, r in self.pairs())
         return f"Matching[{body}]"
+
+    @cached_property
+    def _noncrossing(self) -> bool:
+        # Noncrossing iff every right endpoint closes the most recent open arc.
+        stack: list[int] = []
+        for v, w in enumerate(self.partner):
+            if v < w:
+                stack.append(v)
+            elif stack.pop() != w:
+                return False
+        return True
+
+    @cached_property
+    def _ends(self) -> tuple[tuple[int, int], ...]:
+        # The pair table: (left, right) of the edge labeled k + 1 at index k.
+        return tuple(self.pairs())
 
 
 class Edge(NamedTuple):
@@ -261,18 +282,15 @@ def nc(m: AnyMatching) -> Matching:
 
 
 def is_noncrossing(m: AnyMatching) -> bool:
-    """True iff ``m`` contains no crossing pair of edges."""
+    """True iff ``m`` contains no crossing pair of edges.
+
+    O(n) on the first call per matching and O(1) after, since the verdict is
+    kept on the ``Matching``. A ``LabeledMatching`` is converted first, which
+    is O(n) on every call.
+    """
     if isinstance(m, LabeledMatching):
         m = m.to_matching()
-    stack: list[int] = []
-    for v, w in enumerate(m.partner):
-        if v < w:
-            stack.append(v)
-        else:
-            if stack[-1] != w:
-                return False
-            stack.pop()
-    return True
+    return m._noncrossing
 
 
 def _scan(partner: tuple[int, ...]) -> tuple[int, int, set[int], set[int]]:

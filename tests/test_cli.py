@@ -250,6 +250,17 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize("argv", [
+        ["enumerate", "ns", "--n", "13"],
+        ["enumerate", "noncrossing", "--n", "13"],
+        ["count", "ncn", "--n", "13"],
+    ])
+    def test_catalan_cap_names_the_noncrossing_count(self, cli, argv):
+        assert cli(argv) == (1, "", (
+            "error: n=13 exceeds the enumeration cap 12 for noncrossing enumeration: "
+            "Catalan(n) = 742900 noncrossing matchings at this size "
+            "(set MATCHBIJ_ENUM_CAP to raise the cap)\n"))
+
+    @pytest.mark.parametrize("argv", [
         ["count", "ncn", "--n", "2000"],
         ["enumerate", "all", "--n", "200000"],
         ["enumerate", "ns", "--n", "2000"],

@@ -89,6 +89,15 @@ class TestCaps:
                     else f"has about {digits} digits")
         assert f"(2n-1)!! {expected} at this size" in str(info.value)
 
+    @pytest.mark.parametrize("n", [13, 30, 2000])
+    def test_noncrossing_cap_names_the_catalan_count(self, n):
+        digits = floor(log10(catalan(n))) + 1
+        with pytest.raises(EnumerationCapError) as info:
+            next(noncrossing_matchings(n))
+        expected = (f"= {catalan(n)} noncrossing matchings" if digits <= 30
+                    else f"has about {digits} digits")
+        assert f"for noncrossing enumeration: Catalan(n) {expected} at this size" in str(info.value)
+
     def test_env_var_override(self, monkeypatch):
         monkeypatch.setenv("MATCHBIJ_ENUM_CAP", "2")
         with pytest.raises(EnumerationCapError):

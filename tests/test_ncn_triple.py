@@ -1,0 +1,122 @@
+"""Differential tests for the NCN triple check and the facts it reads.
+
+``NCNTriple`` checks a triple against the noncrossing verdict and the pair
+table kept on its base ``Matching``. The references below recompute both from
+scratch for every triple, as the check did before those facts were kept: a
+stack scan of the partner table and the base's ``Edge`` list.
+"""
+
+import itertools
+import pickle
+
+import pytest
+
+from matchbij.bijections import NCNTriple, swap_sequence
+from matchbij.core import LabeledMatching, Matching, edges, is_noncrossing
+from matchbij.enumeration import all_matchings, noncrossing_matchings
+from matchbij.formats import ParseError, emit_pairs, parse_ncn
+
+
+def reference_is_noncrossing(m):
+    if isinstance(m, LabeledMatching):
+        m = m.to_matching()
+    stack = []
+    for v, w in enumerate(m.partner):
+        if v < w:
+            stack.append(v)
+        else:
+            if stack[-1] != w:
+                return False
+            stack.pop()
+    return True
+
+
+def reference_check(base, pair):
+    """The error message a triple earns, or None if it is accepted."""
+    if not reference_is_noncrossing(base):
+        return "base matching has crossings"
+    if pair is not None:
+        a, b = pair
+        if not 1 <= a < b <= base.n:
+            return f"pair {pair} is not an increasing pair of edge labels"
+        es = edges(base)
+        ea, eb = es[a - 1], es[b - 1]
+        if not (ea.left < eb.left and eb.right < ea.right):
+            return f"edges {a} and {b} are not nested in the base"
+    return None
+
+
+def check_message(base, pair):
+    try:
+        NCNTriple(base, pair)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def candidate_pairs(n):
+    return [None, *itertools.product(range(n + 2), repeat=2)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_triple_check_matches_reference_on_noncrossing_bases(n):
+    for base in noncrossing_matchings(n):
+        for pair in candidate_pairs(n):
+            assert check_message(base, pair) == reference_check(base, pair), (base, pair)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_crossing_bases_are_rejected(n):
+    crossing = [m for m in all_matchings(n) if not reference_is_noncrossing(m)]
+    assert crossing
+    for m in crossing:
+        for pair in (None, (1, 2), (0, 0), (n, 1)):
+            assert check_message(m, pair) == "base matching has crossings"
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_parse_ncn_rejections_match_reference(n):
+    for m in all_matchings(n):
+        for a, b in itertools.product(range(n + 2), repeat=2):
+            text = emit_pairs(m) + f"nesting {a} {b}\n"
+            expected = reference_check(m, None if (a, b) == (0, 0) else (a, b))
+            try:
+                parse_ncn(text)
+            except ParseError as exc:
+                assert str(exc) == str(ParseError(expected, line=n + 2)), (m, a, b)
+            else:
+                assert expected is None, (m, a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_verdict_matches_stack_scan(n):
+    for m in all_matchings(n):
+        expected = reference_is_noncrossing(m)
+        assert is_noncrossing(m) == expected, m
+        assert is_noncrossing(m) == expected, m  # the kept verdict
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_verdict_on_labeled_matchings(n):
+    labeled = [LabeledMatching.fresh(m) for m in all_matchings(n)]
+    for m in noncrossing_matchings(n):
+        labeled += [step.matching for step in swap_sequence(m).steps]
+    for lm in labeled:
+        assert is_noncrossing(lm) == reference_is_noncrossing(lm), lm
+        assert is_noncrossing(lm) == is_noncrossing(lm.to_matching())
+
+
+@pytest.mark.parametrize("partner", [(1, 0), (3, 2, 1, 0), (2, 3, 0, 1), (5, 2, 1, 4, 3, 0)])
+def test_kept_facts_leave_equality_and_hash_alone(partner):
+    n = len(partner) // 2
+    warm, cold = Matching(n, partner), Matching(n, partner)
+    if is_noncrossing(warm) and n > 1:
+        NCNTriple(warm, (1, n))  # reads the pair table too
+    assert warm == cold and cold == warm
+    assert hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+    assert len({warm, cold}) == 1
+    for copy in (pickle.loads(pickle.dumps(warm)), pickle.loads(pickle.dumps(cold))):
+        assert copy == warm and copy == cold
+        assert hash(copy) == hash(cold)
+        assert is_noncrossing(copy) == reference_is_noncrossing(cold)
