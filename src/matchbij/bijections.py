@@ -13,27 +13,19 @@ Three maps, all invertible:
   image is the representative with the prescribed nesting count.
 * ``sigma`` is the composite ``tau . phi``.
 
-Left-endpoint swaps carry edge labels with the edges (a ``LabeledMatching``),
-since after a swap the labels no longer sort by left endpoint. ``swap_left``
-is the single-swap reference; ``tau``, ``tau_inv`` and the representative
-stream walk the swap sequence on mutable arrays instead, at O(1) per swap.
+A left-endpoint swap moves only left endpoints: every right endpoint stays
+put and keeps its label, so the label of an edge is always the base's label
+for its right endpoint. ``tau``, ``tau_inv``, ``swap_sequence`` and the
+representative stream therefore walk the swaps on a plain partner table, at
+O(1) per swap, and read labels through the right endpoints when they need
+them. ``swap_left`` is the single-swap reference: it carries the labels
+explicitly in a ``LabeledMatching`` and revalidates it on every swap.
 """
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .core import (
-    Edge,
-    LabeledMatching,
-    Matching,
-    crossings,
-    is_noncrossing,
-    lperm,
-    nc,
-    nep,
-    nestings,
-    stats,
-)
+from .core import Edge, LabeledMatching, Matching, _scan, is_noncrossing, nc, nep, stats
 from .lp import find_inflated_hairpin
 
 __all__ = [
@@ -41,7 +33,6 @@ __all__ = [
     "NotRepresentativeError",
     "NCNTriple",
     "SwapStep",
-    "SwapTrace",
     "swap_left",
     "swap_sequence",
     "phi",
@@ -124,19 +115,12 @@ def swap_left(m: "Matching | LabeledMatching", a: int, b: int) -> LabeledMatchin
 @dataclass(frozen=True)
 class SwapStep:
     """One stage of a swap sequence: the pair just swapped (None at the
-    start), the labeled matching reached, and its lperm and nesting count."""
+    start), the matching reached, and its lperm, the base's edge labels in
+    the order their left endpoints now appear."""
 
     swapped: Optional[tuple[int, int]]
-    matching: LabeledMatching
+    matching: Matching
     lperm: tuple[int, ...]
-    ne: int
-
-
-@dataclass(frozen=True)
-class SwapTrace:
-    """The full swap sequence of a noncrossing matching, steps 0..k."""
-
-    steps: tuple[SwapStep, ...]
 
 
 def _swap_walk(base: Matching, pairs: Iterable[tuple[int, int]]) -> Iterator[list[int]]:
@@ -170,27 +154,42 @@ def _apply_swaps(base: Matching, order: list[tuple[int, int]], count: int) -> Ma
     return Matching(base.n, tuple(partner))
 
 
-def swap_sequence(m: Matching) -> SwapTrace:
+def swap_sequence(m: Matching) -> tuple[SwapStep, ...]:
     """Swap left endpoints along the nested-pair list of ``m``, recording
-    every intermediate matching with its lperm and nesting count."""
+    every intermediate matching with its lperm; steps 0..k for k nested
+    pairs.
+
+    O(n) time and memory per step for n edges, so O(n^3) on the n-edge
+    ladder, whose nested-pair list has n(n-1)/2 pairs.
+    """
     if not is_noncrossing(m):
         raise ValueError("swap sequence is defined for noncrossing matchings only")
     order = nep(m)
-    lm = LabeledMatching.fresh(m)
-    steps = [SwapStep(None, lm, lperm(lm), len(order))]
-    for pair in order:
-        lm = swap_left(lm, *pair)
-        steps.append(SwapStep(pair, lm, lperm(lm), nestings(lm)[0]))
-    return SwapTrace(tuple(steps))
+    label_of = {right: k for k, (_, right) in enumerate(m._ends, 1)}
+    steps = [SwapStep(None, m, tuple(range(1, m.n + 1)))]
+    for pair, partner in zip(order, _swap_walk(m, order)):
+        lperm = tuple(label_of[w] for v, w in enumerate(partner) if v < w)
+        steps.append(SwapStep(pair, Matching(m.n, tuple(partner)), lperm))
+    return tuple(steps)
 
 
 def phi(m: Matching) -> NCNTriple:
     """Map an L & P matching to its noncrossing projection plus the nested
     pair recording the hairpin maxima; noncrossing input maps to itself with
-    no pair chosen."""
+    no pair chosen.
+
+    O(n^2) at most for n edges, dominated by the one-pass scan behind
+    ``find_inflated_hairpin``; a rejection names the first crossing pair
+    after one more scan.
+    """
     decomposition = find_inflated_hairpin(m)
     if decomposition is None:
-        a, b = crossings(m)[1][0]
+        # The first crossing pair: the least label crossing a larger one, and
+        # the least larger label it crosses.
+        a = min(_scan(m.partner)[2])
+        ends = m._ends
+        ra = ends[a - 1][1]
+        b = next(b for b in range(a + 1, m.n + 1) if ends[b - 1][0] < ra < ends[b - 1][1])
         raise NotLPError(
             f"matching is not L & P: crossing pair ({a},{b}) does not belong "
             f"to a single inflated hairpin"

@@ -12,7 +12,7 @@ coordination.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "InvalidMatchingError",
@@ -32,7 +32,6 @@ __all__ = [
     "nc",
     "is_noncrossing",
     "rperm",
-    "lperm",
     "nep",
 ]
 
@@ -152,9 +151,10 @@ class MatchingStats(NamedTuple):
 class LabeledMatching:
     """A matching whose edges carry fixed labels, decoupled from left order.
 
-    ``edges[k]`` is the edge labeled ``k + 1``. Swapping left endpoints
-    reorders positions but keeps each label attached to its edge, which is
-    what makes ``lperm`` informative.
+    ``edges[k]`` is the edge labeled ``k + 1``. It is the state of the
+    single-swap reference ``swap_left``: swapping left endpoints reorders
+    positions but keeps each label attached to its edge. The statistics and
+    projections take a plain ``Matching`` (see ``to_matching``).
     """
 
     edges: tuple[Edge, ...]
@@ -197,9 +197,6 @@ class LabeledMatching:
         return Matching(self.n, tuple(partner))
 
 
-AnyMatching = Union[Matching, LabeledMatching]
-
-
 def from_pairs(pairs: Iterable[tuple[int, int]], n: int) -> Matching:
     """Build a matching from n endpoint pairs covering {0, ..., 2n-1}.
 
@@ -230,17 +227,9 @@ def edges(m: Matching) -> list[Edge]:
     return [Edge(k + 1, l, r) for k, (l, r) in enumerate(m.pairs())]
 
 
-def _edge_list(m: AnyMatching) -> list[Edge]:
-    if isinstance(m, LabeledMatching):
-        return list(m.edges)
-    return edges(m)
-
-
-def lr_sequence(m: AnyMatching) -> LRSequence:
+def lr_sequence(m: Matching) -> LRSequence:
     """The word recording, left to right, whether each position opens (L) or
     closes (R) an edge."""
-    if isinstance(m, LabeledMatching):
-        m = m.to_matching()
     return LRSequence(_lr_word(m.partner))
 
 
@@ -269,27 +258,22 @@ def matching_from_lr(word: "LRSequence | str") -> Matching:
     return Matching(len(seq) // 2, partner)
 
 
-def nc(m: AnyMatching) -> Matching:
+def nc(m: Matching) -> Matching:
     """The unique noncrossing matching with the same LR word as ``m``.
 
     Computed by matching each right endpoint to the most recent unmatched
     left endpoint (stack discipline).
     """
-    if isinstance(m, LabeledMatching):
-        m = m.to_matching()
     partner = _pair_by_stack([v < m.partner[v] for v in range(2 * m.n)])
     return Matching(m.n, partner)
 
 
-def is_noncrossing(m: AnyMatching) -> bool:
+def is_noncrossing(m: Matching) -> bool:
     """True iff ``m`` contains no crossing pair of edges.
 
     O(n) on the first call per matching and O(1) after, since the verdict is
-    kept on the ``Matching``. A ``LabeledMatching`` is converted first, which
-    is O(n) on every call.
+    kept on the ``Matching``.
     """
-    if isinstance(m, LabeledMatching):
-        m = m.to_matching()
     return m._noncrossing
 
 
@@ -321,66 +305,48 @@ def _scan(partner: tuple[int, ...]) -> tuple[int, int, set[int], set[int]]:
     return ne, cr, larger, smaller
 
 
-def stats(m: AnyMatching) -> MatchingStats:
+def stats(m: Matching) -> MatchingStats:
     """Nesting and crossing counts in one pass over the partner table,
     O(n + cr + the summed depth of the open arcs), at most O(n^2)."""
-    if isinstance(m, LabeledMatching):
-        m = m.to_matching()
     ne, cr, _, _ = _scan(m.partner)
     return MatchingStats(ne, cr)
 
 
-def _classified_pairs(m: AnyMatching, kind: str) -> list[tuple[int, int]]:
-    es = sorted(_edge_list(m), key=lambda e: e.left)
+def _classified_pairs(m: Matching, kind: str) -> list[tuple[int, int]]:
+    es = edges(m)
     out = []
     for i, (a, _, ra) in enumerate(es):
         for b, lb, rb in es[i + 1:]:
             if ("alignment" if lb > ra else "nested" if rb < ra else "crossing") == kind:
-                out.append((a, b) if a < b else (b, a))
+                out.append((a, b))
     return out
 
 
-def nestings(m: AnyMatching) -> tuple[int, list[tuple[int, int]]]:
+def nestings(m: Matching) -> tuple[int, list[tuple[int, int]]]:
     """All nested label pairs (reported as (min, max)) and their count, O(n^2)."""
     pairs = _classified_pairs(m, "nested")
     return len(pairs), pairs
 
 
-def crossings(m: AnyMatching) -> tuple[int, list[tuple[int, int]]]:
+def crossings(m: Matching) -> tuple[int, list[tuple[int, int]]]:
     """All crossing label pairs (reported as (min, max)) and their count, O(n^2)."""
     pairs = _classified_pairs(m, "crossing")
     return len(pairs), pairs
 
 
-def alignments(m: AnyMatching) -> tuple[int, list[tuple[int, int]]]:
+def alignments(m: Matching) -> tuple[int, list[tuple[int, int]]]:
     """All aligned (disjoint) label pairs and their count, O(n^2)."""
     pairs = _classified_pairs(m, "alignment")
     return len(pairs), pairs
 
 
-def rperm(m: AnyMatching) -> tuple[int, ...]:
+def rperm(m: Matching) -> tuple[int, ...]:
     """Edge labels in the order their right endpoints appear."""
-    return tuple(e.label for e in sorted(_edge_list(m), key=lambda e: e.right))
+    return tuple(e.label for e in sorted(edges(m), key=lambda e: e.right))
 
 
-def lperm(m: AnyMatching) -> tuple[int, ...]:
-    """Edge labels in the order their left endpoints appear.
-
-    For a plain ``Matching`` this is the identity, since labels are assigned
-    by left endpoint; it becomes informative on a ``LabeledMatching`` whose
-    left endpoints have been swapped around.
-    """
-    return tuple(e.label for e in sorted(_edge_list(m), key=lambda e: e.left))
-
-
-def nep(m: AnyMatching) -> list[tuple[int, int]]:
-    """Nested label pairs sorted by second coordinate, then first.
-
-    O(n^2) on a plain ``Matching``; a ``LabeledMatching`` also pays for
-    sorting its nested pairs.
-    """
-    if isinstance(m, LabeledMatching):
-        return sorted(nestings(m)[1], key=lambda p: (p[1], p[0]))
+def nep(m: Matching) -> list[tuple[int, int]]:
+    """Nested label pairs sorted by second coordinate, then first, O(n^2)."""
     # Labels follow left endpoints, so a < b nest iff right(b) < right(a), and
     # scanning b outside a lists the pairs in sorted order.
     rights = [r for _, r in m.pairs()]

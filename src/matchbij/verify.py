@@ -37,8 +37,7 @@ CheckResult = tuple[str, bool, str]
 def mirror(m: Matching) -> Matching:
     """Reflect a matching left to right."""
     size = 2 * m.n
-    pairs = [(size - 1 - r, size - 1 - l) for l, r in m.pairs()]
-    return from_pairs(pairs, m.n)
+    return Matching(m.n, tuple(size - 1 - w for w in reversed(m.partner)))
 
 
 class _Families:
@@ -219,14 +218,18 @@ def _check_sigma_properties(fam: _Families) -> tuple[bool, str]:
 
 
 def _check_swap_nestings(fam: _Families) -> tuple[bool, str]:
+    # Recounted from each step's matching, so the walk's steps are not trusted.
     for m in fam.noncrossing:
-        trace = swap_sequence(m)
         order = nep(m)
         k = len(order)
-        for i, step in enumerate(trace.steps):
-            if step.ne != k - i:
-                return False, f"nesting count at step {i} of {m} is {step.ne}"
-            if nep(step.matching) != order[i:]:
+        for i, step in enumerate(swap_sequence(m)):
+            ne, pairs = nestings(step.matching)
+            if ne != k - i:
+                return False, f"nesting count at step {i} of {m} is {ne}"
+            # The step's labels follow its left endpoints; lperm gives the base's.
+            labeled = sorted((tuple(sorted((step.lperm[a - 1], step.lperm[b - 1])))
+                              for a, b in pairs), key=lambda p: (p[1], p[0]))
+            if labeled != order[i:]:
                 return False, f"nested-pair list at step {i} of {m} is wrong"
     return _ok(len(fam.noncrossing), "noncrossing matchings")
 
@@ -236,7 +239,7 @@ def _check_swap_adjacency(fam: _Families) -> tuple[bool, str]:
         trace = swap_sequence(m)
         order = nep(m)
         for i, pair in enumerate(order):
-            lp_now = trace.steps[i].lperm
+            lp_now = trace[i].lperm
             a_at = lp_now.index(pair[0])
             b_at = lp_now.index(pair[1])
             if b_at != a_at + 1:

@@ -37,6 +37,7 @@ from matchbij import (
 )
 from matchbij.cli import run
 from matchbij.similarity import census
+from test_bijections import labeled_nep
 
 LP_EXAMPLE = from_pairs([(0, 9), (1, 6), (2, 3), (4, 13), (5, 10), (7, 8), (11, 12)], 7)
 NC_EXAMPLE = from_pairs([(0, 13), (1, 10), (2, 3), (4, 9), (5, 6), (7, 8), (11, 12)], 7)
@@ -128,10 +129,9 @@ def test_criterion_4_swap_lemmas():
         for m in noncrossing_matchings(n):
             order = nep(m)
             k = len(order)
-            trace = swap_sequence(m)
-            for i, step in enumerate(trace.steps):
-                assert step.ne == k - i
-                assert nep(step.matching) == order[i:]
+            for i, step in enumerate(swap_sequence(m)):
+                assert nestings(step.matching)[0] == k - i
+                assert labeled_nep(step) == order[i:]
                 if i < k:
                     a, b = order[i]
                     a_at = step.lperm.index(a)
@@ -152,9 +152,9 @@ def test_criterion_5_figure_goldens():
     assert nestings(image)[0] == 5
     assert str(lr_sequence(image)) == "LLLRLLRLRRRLRR"
     trace = swap_sequence(NESTED4)
-    assert [s.lperm for s in trace.steps] == [
+    assert [s.lperm for s in trace] == [
         (1, 2, 3, 4), (2, 1, 3, 4), (2, 3, 1, 4), (2, 3, 4, 1), (2, 4, 3, 1)]
-    assert [s.ne for s in trace.steps] == [4, 3, 2, 1, 0]
+    assert [nestings(s.matching)[0] for s in trace] == [4, 3, 2, 1, 0]
     assert rperm(NC_EXAMPLE) == (3, 5, 6, 4, 2, 7, 1)
     assert nep(NC_EXAMPLE) == [
         (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5), (4, 5),

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from matchbij import (
     LabeledMatching,
@@ -6,6 +7,7 @@ from matchbij import (
     NotLPError,
     NotRepresentativeError,
     all_matchings,
+    crossings,
     enumerate_lp,
     from_pairs,
     is_lp,
@@ -25,6 +27,14 @@ from matchbij import (
     tau,
     tau_inv,
 )
+from test_classifier import matchings
+
+
+def labeled_nep(step):
+    """The nested pairs of a swap step under the base's labels, in nep order."""
+    lp = step.lperm
+    pairs = (tuple(sorted((lp[a - 1], lp[b - 1]))) for a, b in nestings(step.matching)[1])
+    return sorted(pairs, key=lambda p: (p[1], p[0]))
 
 
 class TestNCNTriple:
@@ -67,6 +77,35 @@ class TestPhi:
             phi(similar_b)
 
 
+def reference_rejection(m):
+    """The message phi gave when it named the first pair of ``crossings``."""
+    a, b = crossings(m)[1][0]
+    return (f"matching is not L & P: crossing pair ({a},{b}) does not belong "
+            f"to a single inflated hairpin")
+
+
+def check_rejection(m):
+    if is_lp(m):
+        phi(m)
+        return
+    with pytest.raises(NotLPError) as raised:
+        phi(m)
+    assert str(raised.value) == reference_rejection(m)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_phi_names_the_first_crossing_pair(n):
+    for m in all_matchings(n):
+        check_rejection(m)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(matchings(max_edges=300))
+def test_phi_names_the_first_crossing_pair_on_random_matchings(m):
+    check_rejection(m)
+
+
 class TestPhiInv:
     def test_rebuilds_crossing_block(self, lp_example, nc_example):
         assert phi_inv(NCNTriple(nc_example, (2, 5))) == lp_example
@@ -81,9 +120,7 @@ class TestPhiInv:
 class TestSwapLeft:
     def test_first_swap_of_walkthrough(self, nested4):
         lm = swap_left(nested4, 1, 2)
-        from matchbij import lperm
-
-        assert lperm(lm) == (2, 1, 3, 4)
+        assert [e.label for e in sorted(lm.edges, key=lambda e: e.left)] == [2, 1, 3, 4]
         assert lm.to_matching() == from_pairs([(1, 7), (0, 2), (3, 6), (4, 5)], 4)
 
     def test_involution(self, nested4):
@@ -108,20 +145,21 @@ class TestSwapLeft:
 class TestSwapSequence:
     def test_walkthrough_lperms_and_counts(self, nested4):
         trace = swap_sequence(nested4)
-        assert [s.lperm for s in trace.steps] == [
+        assert [s.lperm for s in trace] == [
             (1, 2, 3, 4), (2, 1, 3, 4), (2, 3, 1, 4), (2, 3, 4, 1), (2, 4, 3, 1),
         ]
-        assert [s.ne for s in trace.steps] == [4, 3, 2, 1, 0]
-        assert [s.swapped for s in trace.steps] == [
+        assert [nestings(s.matching)[0] for s in trace] == [4, 3, 2, 1, 0]
+        assert trace[-1].matching == from_pairs([(4, 7), (0, 2), (3, 6), (1, 5)], 4)
+        assert [s.swapped for s in trace] == [
             None, (1, 2), (1, 3), (1, 4), (3, 4),
         ]
 
     def test_length_tracks_nesting_count(self, nc_example):
-        assert len(swap_sequence(nc_example).steps) == 13
+        assert len(swap_sequence(nc_example)) == 13
 
     def test_nesting_free_trace_is_trivial(self):
         m = from_pairs([(0, 1), (2, 3)], 2)
-        assert len(swap_sequence(m).steps) == 1
+        assert len(swap_sequence(m)) == 1
 
     def test_rejects_crossings(self, hairpin):
         with pytest.raises(ValueError, match="noncrossing"):
@@ -211,16 +249,15 @@ class TestSwapLemmas:
         for m in noncrossing_matchings(n):
             order = nep(m)
             k = len(order)
-            trace = swap_sequence(m)
-            for i, step in enumerate(trace.steps):
-                assert step.ne == k - i
-                assert nep(step.matching) == order[i:]
+            for i, step in enumerate(swap_sequence(m)):
+                assert nestings(step.matching)[0] == k - i
+                assert labeled_nep(step) == order[i:]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_next_pair_adjacent_in_order(self, n):
         for m in noncrossing_matchings(n):
             trace = swap_sequence(m)
             for i, pair in enumerate(nep(m)):
-                current = trace.steps[i].lperm
+                current = trace[i].lperm
                 a_at = current.index(pair[0])
                 assert current[a_at + 1] == pair[1]

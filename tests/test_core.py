@@ -11,7 +11,6 @@ from matchbij import (
     edges,
     from_pairs,
     is_noncrossing,
-    lperm,
     lr_sequence,
     matching_from_lr,
     nc,
@@ -170,17 +169,6 @@ class TestRperm:
 
     def test_ladder_reverses(self, ladder4):
         assert rperm(ladder4) == (4, 3, 2, 1)
-
-
-class TestLperm:
-    def test_fresh_labels_are_identity(self, nested4, rep_example):
-        assert lperm(nested4) == (1, 2, 3, 4)
-        assert lperm(rep_example) == tuple(range(1, 8))
-
-    def test_carried_labels(self):
-        lm = LabeledMatching((Edge(1, 4, 7), Edge(2, 0, 2), Edge(3, 3, 6), Edge(4, 1, 5)))
-        assert lperm(lm) == (2, 4, 3, 1)
-        assert rperm(lm) == (2, 4, 3, 1)
 
 
 class TestNep:

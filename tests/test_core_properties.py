@@ -12,7 +12,6 @@ from matchbij import (
     edges,
     from_pairs,
     is_noncrossing,
-    lperm,
     lr_sequence,
     nc,
     nep,
@@ -56,11 +55,6 @@ def test_noncrossing_means_no_crossings(m):
 @given(matchings())
 def test_edges_roundtrip(m):
     assert from_pairs([(e.left, e.right) for e in edges(m)], m.n) == m
-
-
-@given(matchings())
-def test_fresh_lperm_is_identity(m):
-    assert lperm(m) == tuple(range(1, m.n + 1))
 
 
 @given(matchings())

@@ -1,6 +1,6 @@
-"""Differential tests of the O(1)-per-swap walk behind tau, tau_inv and
-ns_stream against a quadratic reference that calls ``swap_left`` once per
-swap, starting from ``LabeledMatching.fresh``.
+"""Differential tests of the O(1)-per-swap walk behind tau, tau_inv,
+ns_stream and swap_sequence against a quadratic reference that calls
+``swap_left`` once per swap, starting from ``LabeledMatching.fresh``.
 
 The reference orders the nested pairs by sorting ``nestings`` itself, so it
 checks ``nep`` as well.
@@ -21,6 +21,7 @@ from matchbij import (
     noncrossing_matchings,
     ns_stream,
     swap_left,
+    swap_sequence,
     tau,
     tau_inv,
 )
@@ -31,12 +32,32 @@ def reference_order(base):
     return sorted(nestings(base)[1], key=lambda p: (p[1], p[0]))
 
 
-def reference_walk(base, pairs):
-    """The matching after each swap of ``pairs``, one ``swap_left`` each."""
+def reference_labeled_walk(base, pairs):
+    """The labeled matching after each swap of ``pairs``, one ``swap_left``
+    each."""
     lm = LabeledMatching.fresh(base)
     for a, b in pairs:
         lm = swap_left(lm, a, b)
+        yield lm
+
+
+def reference_walk(base, pairs):
+    for lm in reference_labeled_walk(base, pairs):
         yield lm.to_matching()
+
+
+def reference_swap_sequence(base):
+    """(swapped pair, matching, lperm) for every step of the swap sequence."""
+    order = reference_order(base)
+    labeled = [LabeledMatching.fresh(base), *reference_labeled_walk(base, order)]
+    return [(pair, lm.to_matching(),
+             tuple(e.label for e in sorted(lm.edges, key=lambda e: e.left)))
+            for pair, lm in zip([None, *order], labeled)]
+
+
+def check_swap_sequence(base):
+    steps = [(s.swapped, s.matching, s.lperm) for s in swap_sequence(base)]
+    assert steps == reference_swap_sequence(base)
 
 
 def reference_tau(t):
@@ -73,6 +94,8 @@ def test_exhaustive_against_reference(n):
         assert reference_tau(t) == image
         assert tau(t) == image
         assert tau_inv(image) == t
+    for m in noncrossing_matchings(n):
+        check_swap_sequence(m)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -137,3 +160,17 @@ def test_random_dyck_words_against_reference(word, data):
 @given(st.integers(min_value=1, max_value=200), st.data())
 def test_ladders_against_reference(n, data):
     check_triple(with_random_pair(data, ladder(n)))
+
+
+# swap_sequence keeps every step, O(n) memory each, so its inputs stay small:
+# the 60-edge ladder has 1771 steps.
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(dyck_words(max_edges=60))
+def test_swap_sequence_on_random_dyck_words_against_reference(word):
+    check_swap_sequence(matching_from_lr(word))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 60])
+def test_swap_sequence_on_ladders_against_reference(n):
+    check_swap_sequence(ladder(n))

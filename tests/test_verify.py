@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from matchbij import all_matchings, from_pairs, is_lp
@@ -11,6 +13,14 @@ def test_mirror_reflects_positions():
     asym = from_pairs([(0, 1), (2, 5), (3, 4)], 3)
     assert mirror(asym) == from_pairs([(4, 5), (0, 3), (1, 2)], 3)
     assert mirror(mirror(asym)) == asym
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mirror_matches_the_pair_list_reflection(n):
+    for m in all_matchings(n):
+        size = 2 * n
+        expected = from_pairs([(size - 1 - r, size - 1 - l) for l, r in m.pairs()], n)
+        assert mirror(m) == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -49,6 +59,25 @@ def test_failing_check_names_the_first_bad_matching(monkeypatch):
     results = _results(4, "bijections")
     assert results["bijections/phi-roundtrip"] == (
         False, f"phi round trip fails on {target}")
+    assert results["bijections/tau-roundtrip"][0]
+
+
+def test_swap_checks_recount_a_wrong_step(monkeypatch):
+    real = verify.swap_sequence
+
+    def wrong_step_one(m):
+        # Step 1 repeats the start: the first swap is claimed but not made.
+        steps = real(m)
+        if len(steps) < 3:
+            return steps
+        return (steps[0], replace(steps[0], swapped=steps[1].swapped), *steps[2:])
+
+    monkeypatch.setattr(verify, "swap_sequence", wrong_step_one)
+    results = _results(4, "bijections")
+    for check in ("swap-trace-nesting-counts", "swap-pair-adjacency"):
+        ok, detail = results[f"bijections/{check}"]
+        assert not ok
+        assert "at step 1 of" in detail
     assert results["bijections/tau-roundtrip"][0]
 
 
