@@ -154,23 +154,27 @@ def _apply_swaps(base: Matching, order: list[tuple[int, int]], count: int) -> Ma
     return Matching(base.n, tuple(partner))
 
 
-def swap_sequence(m: Matching) -> tuple[SwapStep, ...]:
-    """Swap left endpoints along the nested-pair list of ``m``, recording
+def swap_sequence(m: Matching) -> Iterator[SwapStep]:
+    """Swap left endpoints along the nested-pair list of ``m``, yielding
     every intermediate matching with its lperm; steps 0..k for k nested
-    pairs.
+    pairs. Crossing input raises ValueError at the call.
 
-    O(n) time and memory per step for n edges, so O(n^3) on the n-edge
-    ladder, whose nested-pair list has n(n-1)/2 pairs.
+    O(n) time and memory per step for n edges, so O(n^3) time on the n-edge
+    ladder, whose nested-pair list has n(n-1)/2 pairs; a step is built only
+    when it is reached.
     """
     if not is_noncrossing(m):
         raise ValueError("swap sequence is defined for noncrossing matchings only")
+    return _swap_steps(m)
+
+
+def _swap_steps(m: Matching) -> Iterator[SwapStep]:
     order = nep(m)
     label_of = {right: k for k, (_, right) in enumerate(m._ends, 1)}
-    steps = [SwapStep(None, m, tuple(range(1, m.n + 1)))]
+    yield SwapStep(None, m, tuple(range(1, m.n + 1)))
     for pair, partner in zip(order, _swap_walk(m, order)):
         lperm = tuple(label_of[w] for v, w in enumerate(partner) if v < w)
-        steps.append(SwapStep(pair, Matching(m.n, tuple(partner)), lperm))
-    return tuple(steps)
+        yield SwapStep(pair, Matching(m.n, tuple(partner)), lperm)
 
 
 def phi(m: Matching) -> NCNTriple:

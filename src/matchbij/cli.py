@@ -26,6 +26,7 @@ from .bijections import (
 from .similarity import census, ns_stream
 from .enumeration import (
     EnumerationCapError,
+    _ln_catalan,
     _ln_matchings,
     all_matchings,
     catalan,
@@ -104,12 +105,12 @@ def _check_count_prints(what: str, n: int) -> None:
     if not limit:
         return
     try:
-        ln_central = lgamma(2 * n + 1) - 2 * lgamma(n + 1)  # ln C(2n, n)
         if what == "matchings":
             ln_count = _ln_matchings(n)
-        elif what == "noncrossing":  # C(2n, n) / (n + 1)
-            ln_count = ln_central - log(n + 1)
+        elif what == "noncrossing":
+            ln_count = _ln_catalan(n)
         else:  # lp, classes and ncn all count 2^(2n-1) - (3n-1)/(2n+2) C(2n, n)
+            ln_central = lgamma(2 * n + 1) - 2 * lgamma(n + 1)  # ln C(2n, n)
             ln_top = (2 * n - 1) * log(2)
             ln_count = ln_top + log1p(-(3 * n - 1) / (2 * n + 2) * exp(ln_central - ln_top))
         fits = ln_count / log(10) < limit
@@ -208,7 +209,8 @@ def _cmd_render(args) -> int:
     m = parse_input(_read_input(args.infile))
     spec = RenderSpec(format=args.format, width=args.width, height=args.height,
                       labels=args.labels)
-    sys.stdout.write(render(m, spec))
+    for piece in render(m, spec):  # line by line: a deep diagram is megabytes
+        sys.stdout.write(piece)
     return 0
 
 

@@ -4,10 +4,11 @@ Vertices sit on a baseline and every edge is an arc above it. Output is
 deterministic for a fixed matching and spec, so renders can be golden-filed.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
-from .core import Edge, Matching, edges
+from .core import Matching, edges
 
 __all__ = ["RenderSpec", "render", "render_text", "render_svg"]
 
@@ -22,65 +23,53 @@ class RenderSpec:
     labels: bool = False
 
 
-def _arc_heights(es: list[Edge]) -> dict[Edge, int]:
-    """Stack arcs so that no two horizontal runs collide.
+def _text_lines(m: Matching, labels: bool) -> Iterator[str]:
+    """The rows of the text diagram, top row first, each ending in a newline.
 
-    An arc sits above every arc nested inside it and above every crossing
-    arc that starts further left; the relation is acyclic, so heights are
-    well-founded.
+    An arc sits one row above every arc whose right endpoint lies strictly
+    inside it: the arcs nested in it and those crossing it from the left.
+    Visiting arcs by right endpoint, the tallest of those is read with one
+    bisect from a stack of (right, height) whose heights fall as the rights
+    rise. Row r paints the runs of the arcs at height r, then the legs of
+    the taller arcs, then the labels at height r; a label too wide for the
+    last columns runs past them.
     """
-    below: dict[Edge, list[Edge]] = {e: [] for e in es}
-    for e in es:
-        for f in es:
-            if f is e:
-                continue
-            inside = e.left < f.left and f.right < e.right
-            crossing_from_left = f.left < e.left < f.right < e.right
-            if inside or crossing_from_left:
-                below[e].append(f)
-    heights: dict[Edge, int] = {}
-
-    def height(e: Edge) -> int:
-        if e not in heights:
-            heights[e] = 1 + max((height(f) for f in below[e]), default=0)
-        return heights[e]
-
-    for e in es:
-        height(e)
-    return heights
+    stack_r: list[int] = []  # right endpoints, rising
+    stack_h: list[int] = []  # their heights, falling
+    height = [0] * (2 * m.n)  # by left endpoint
+    for v, w in enumerate(m.partner):
+        if w < v:
+            i = bisect_right(stack_r, w)
+            h = 1 + (stack_h[i] if i < len(stack_h) else 0)
+            while stack_h and stack_h[-1] <= h:
+                stack_r.pop()
+                stack_h.pop()
+            stack_r.append(v)
+            stack_h.append(h)
+            height[w] = h
+    at_height: list[list] = [[] for _ in range(stack_h[0] + 1)]  # stack_h[0]: the tallest arc
+    for e in edges(m):
+        at_height[height[e.left]].append(e)
+    legs = bytearray(b" " * (4 * m.n - 1))  # vertex v sits in column 2v
+    for arcs in reversed(at_height[1:]):
+        row = legs[:]
+        for _, l, r in arcs:
+            row[2 * l:2 * r + 1] = b"." + legs[2 * l + 1:2 * r].replace(b" ", b"-") + b"."
+        if labels:
+            for label, l, r in arcs:
+                text = str(label).encode()
+                mid = l + r - (len(text) - 1) // 2
+                row[mid:mid + len(text)] = text
+        yield row.rstrip().decode() + "\n"
+        for _, l, r in arcs:
+            legs[2 * l] = legs[2 * r] = ord("|")
+    yield " ".join("*" * (2 * m.n)) + "\n"
 
 
 def render_text(m: Matching, labels: bool = False) -> str:
-    """ASCII arc diagram: '*' vertices, '.-' arc tops, '|' legs."""
-    es = edges(m)
-    heights = _arc_heights(es)
-    top = max(heights.values())
-    width = 2 * (2 * m.n - 1) + 1
-    grid = [[" "] * width for _ in range(top + 1)]  # row 0 is the baseline
-
-    def col(v: int) -> int:
-        return 2 * v
-
-    for v in range(2 * m.n):
-        grid[0][col(v)] = "*"
-    for e in sorted(es, key=lambda e: heights[e]):
-        h = heights[e]
-        lc, rc = col(e.left), col(e.right)
-        grid[h][lc] = "."
-        grid[h][rc] = "."
-        for c in range(lc + 1, rc):
-            grid[h][c] = "-"
-        for row in range(1, h):
-            grid[row][lc] = "|"
-            grid[row][rc] = "|"
-    if labels:
-        for e in es:
-            text = str(e.label)
-            mid = (col(e.left) + col(e.right)) // 2 - (len(text) - 1) // 2
-            for k, ch in enumerate(text):
-                grid[heights[e]][mid + k] = ch
-    lines = ["".join(row).rstrip() for row in reversed(grid)]
-    return "\n".join(lines) + "\n"
+    """ASCII arc diagram: '*' vertices, '.-' arc tops, '|' legs. O(n log n)
+    for the arc heights plus the size of the output."""
+    return "".join(_text_lines(m, labels))
 
 
 def _fmt(x: float) -> str:
@@ -90,7 +79,7 @@ def _fmt(x: float) -> str:
 def render_svg(m: Matching, labels: bool = False,
                width: Optional[int] = None,
                height: Optional[int] = None) -> str:
-    """SVG arc diagram: circles on a baseline, semicircular arcs above."""
+    """SVG arc diagram: circles on a baseline, semicircular arcs above; O(n)."""
     es = edges(m)
     n2 = 2 * m.n
     margin = 20.0
@@ -137,11 +126,13 @@ def render_svg(m: Matching, labels: bool = False,
     return "\n".join(parts) + "\n"
 
 
-def render(m: Matching, spec: RenderSpec = RenderSpec()) -> str:
-    """Render ``m`` according to ``spec``."""
+def render(m: Matching, spec: RenderSpec = RenderSpec()) -> Iterator[str]:
+    """Render ``m`` according to ``spec``, yielding text line by line at the
+    cost of ``render_text``, or SVG whole in O(n); an unknown format raises
+    ValueError on the first ``next``."""
     if spec.format == "text":
-        return render_text(m, labels=spec.labels)
-    if spec.format == "svg":
-        return render_svg(m, labels=spec.labels, width=spec.width,
-                          height=spec.height)
-    raise ValueError(f"unknown render format {spec.format!r}; expected text or svg")
+        yield from _text_lines(m, spec.labels)
+    elif spec.format == "svg":
+        yield render_svg(m, labels=spec.labels, width=spec.width, height=spec.height)
+    else:
+        raise ValueError(f"unknown render format {spec.format!r}; expected text or svg")

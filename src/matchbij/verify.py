@@ -222,6 +222,7 @@ def _check_swap_nestings(fam: _Families) -> tuple[bool, str]:
     for m in fam.noncrossing:
         order = nep(m)
         k = len(order)
+        i = -1
         for i, step in enumerate(swap_sequence(m)):
             ne, pairs = nestings(step.matching)
             if ne != k - i:
@@ -231,15 +232,15 @@ def _check_swap_nestings(fam: _Families) -> tuple[bool, str]:
                               for a, b in pairs), key=lambda p: (p[1], p[0]))
             if labeled != order[i:]:
                 return False, f"nested-pair list at step {i} of {m} is wrong"
+        if i != k:
+            return False, f"the swap trace of {m} ends at step {i}, not {k}"
     return _ok(len(fam.noncrossing), "noncrossing matchings")
 
 
 def _check_swap_adjacency(fam: _Families) -> tuple[bool, str]:
     for m in fam.noncrossing:
-        trace = swap_sequence(m)
-        order = nep(m)
-        for i, pair in enumerate(order):
-            lp_now = trace[i].lperm
+        for i, (pair, step) in enumerate(zip(nep(m), swap_sequence(m))):
+            lp_now = step.lperm
             a_at = lp_now.index(pair[0])
             b_at = lp_now.index(pair[1])
             if b_at != a_at + 1:

@@ -151,7 +151,7 @@ def test_criterion_5_figure_goldens():
     assert image == REP_EXAMPLE
     assert nestings(image)[0] == 5
     assert str(lr_sequence(image)) == "LLLRLLRLRRRLRR"
-    trace = swap_sequence(NESTED4)
+    trace = tuple(swap_sequence(NESTED4))
     assert [s.lperm for s in trace] == [
         (1, 2, 3, 4), (2, 1, 3, 4), (2, 3, 1, 4), (2, 3, 4, 1), (2, 4, 3, 1)]
     assert [nestings(s.matching)[0] for s in trace] == [4, 3, 2, 1, 0]

@@ -28,6 +28,7 @@ from matchbij import (
     tau_inv,
 )
 from test_classifier import matchings
+from test_swap_walk import ladder
 
 
 def labeled_nep(step):
@@ -144,7 +145,7 @@ class TestSwapLeft:
 
 class TestSwapSequence:
     def test_walkthrough_lperms_and_counts(self, nested4):
-        trace = swap_sequence(nested4)
+        trace = tuple(swap_sequence(nested4))
         assert [s.lperm for s in trace] == [
             (1, 2, 3, 4), (2, 1, 3, 4), (2, 3, 1, 4), (2, 3, 4, 1), (2, 4, 3, 1),
         ]
@@ -155,15 +156,21 @@ class TestSwapSequence:
         ]
 
     def test_length_tracks_nesting_count(self, nc_example):
-        assert len(swap_sequence(nc_example)) == 13
+        assert len(tuple(swap_sequence(nc_example))) == 13
 
     def test_nesting_free_trace_is_trivial(self):
         m = from_pairs([(0, 1), (2, 3)], 2)
-        assert len(swap_sequence(m)) == 1
+        assert len(tuple(swap_sequence(m))) == 1
 
     def test_rejects_crossings(self, hairpin):
         with pytest.raises(ValueError, match="noncrossing"):
             swap_sequence(hairpin)
+
+    def test_steps_come_one_at_a_time(self):
+        # The 150-edge ladder has 11176 steps of 300 positions each.
+        trace = swap_sequence(ladder(150))
+        assert iter(trace) is trace
+        assert [next(trace).swapped for _ in range(3)] == [None, (1, 2), (1, 3)]
 
 
 class TestTau:
@@ -256,7 +263,7 @@ class TestSwapLemmas:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_next_pair_adjacent_in_order(self, n):
         for m in noncrossing_matchings(n):
-            trace = swap_sequence(m)
+            trace = tuple(swap_sequence(m))
             for i, pair in enumerate(nep(m)):
                 current = trace[i].lperm
                 a_at = current.index(pair[0])

@@ -209,6 +209,31 @@ class TestRender:
         code, out, _ = cli(["render", "--labels"], "2\n0 2\n1 3\n")
         assert "1" in out and "2" in out
 
+    def test_labels_wider_than_the_last_columns(self, cli):
+        # The arc of label 1000 joins the last two positions.
+        pairs = "1000\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(1000))
+        code, out, err = cli(["render", "--labels"], pairs)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0].endswith(" 999 1000")
+
+    def test_deep_ladder_written_line_by_line(self, monkeypatch):
+        class WriteOnly:
+            def __init__(self):
+                self.writes = self.lines = 0
+
+            def write(self, text):
+                self.writes += 1
+                self.lines += text.count("\n")
+                return len(text)
+
+        n = 1200
+        sink = WriteOnly()
+        ladder = f"{n}\n" + "".join(f"{i} {2 * n - 1 - i}\n" for i in range(n))
+        monkeypatch.setattr("sys.stdin", io.StringIO(ladder))
+        monkeypatch.setattr("sys.stdout", sink)
+        assert run(["render"]) == 0
+        assert sink.lines == n + 1 and sink.writes > 1
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, cli):

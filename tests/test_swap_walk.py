@@ -162,7 +162,7 @@ def test_ladders_against_reference(n, data):
     check_triple(with_random_pair(data, ladder(n)))
 
 
-# swap_sequence keeps every step, O(n) memory each, so its inputs stay small:
+# check_swap_sequence keeps every step, O(n) memory each, so inputs stay small:
 # the 60-edge ladder has 1771 steps.
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])

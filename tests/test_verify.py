@@ -67,7 +67,7 @@ def test_swap_checks_recount_a_wrong_step(monkeypatch):
 
     def wrong_step_one(m):
         # Step 1 repeats the start: the first swap is claimed but not made.
-        steps = real(m)
+        steps = tuple(real(m))
         if len(steps) < 3:
             return steps
         return (steps[0], replace(steps[0], swapped=steps[1].swapped), *steps[2:])
@@ -79,6 +79,14 @@ def test_swap_checks_recount_a_wrong_step(monkeypatch):
         assert not ok
         assert "at step 1 of" in detail
     assert results["bijections/tau-roundtrip"][0]
+
+
+def test_swap_checks_notice_a_short_trace(monkeypatch):
+    real = verify.swap_sequence
+    monkeypatch.setattr(verify, "swap_sequence", lambda m: tuple(real(m))[:2])
+    ok, detail = _results(4, "bijections")["bijections/swap-trace-nesting-counts"]
+    assert not ok
+    assert "ends at step 1, not" in detail
 
 
 def test_shared_representative_set_reaches_every_reader(monkeypatch):
