@@ -11,7 +11,7 @@ import sys
 from math import exp, lgamma, log, log1p
 from typing import Optional
 
-from .core import InvalidMatchingError, crossings, is_noncrossing, lr_sequence, stats
+from .core import InvalidMatchingError, is_noncrossing, lr_sequence, stats
 from .lp import enumerate_lp, is_lp, lp_count_formula
 from .bijections import (
     NotLPError,
@@ -93,8 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_input(infile: Optional[str]) -> str:
     if infile:
-        with open(infile, "r", encoding="utf-8") as handle:
-            return handle.read()
+        try:
+            with open(infile, "r", encoding="utf-8") as handle:
+                return handle.read()
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ParseError(f"cannot read {infile}: {exc.strerror}") from exc
     return sys.stdin.read()
 
 

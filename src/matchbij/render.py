@@ -79,7 +79,11 @@ def _fmt(x: float) -> str:
 def render_svg(m: Matching, labels: bool = False,
                width: Optional[int] = None,
                height: Optional[int] = None) -> str:
-    """SVG arc diagram: circles on a baseline, semicircular arcs above; O(n)."""
+    """SVG arc diagram: circles on a baseline, semicircular arcs above; O(n).
+    A width or height below 1 raises ValueError."""
+    for setting, value in (("width", width), ("height", height)):
+        if value is not None and value < 1:
+            raise ValueError(f"{setting} must be a positive integer, got {value}")
     es = edges(m)
     n2 = 2 * m.n
     margin = 20.0

@@ -205,6 +205,12 @@ class TestRender:
         assert code == 0
         assert out.count("<circle") == 14 and out.count("<path") == 7
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--width", "-50"), ("--width", "0"), ("--height", "0")])
+    def test_svg_size_below_one(self, cli, flag, value):
+        assert cli(["render", "--format", "svg", flag, value], LP_PAIRS) == (
+            1, "", f"error: {flag[2:]} must be a positive integer, got {value}\n")
+
     def test_labels(self, cli):
         code, out, _ = cli(["render", "--labels"], "2\n0 2\n1 3\n")
         assert "1" in out and "2" in out
@@ -255,6 +261,24 @@ class TestExitCodes:
         a = cli(["classify"], emit_pairs(from_pairs([(0, 2), (1, 3)], 2)))
         b = cli(["classify"], emit_pairs(from_pairs([(0, 2), (1, 3)], 2)))
         assert a == b
+
+    @pytest.mark.parametrize("command,name,reason", [
+        ("classify", "missing.txt", "No such file or directory"),
+        ("render", "", "Is a directory"),
+    ])
+    def test_unreadable_input_file(self, cli, tmp_path, command, name, reason):
+        path = tmp_path / name
+        code, out, err = cli([command, "--in", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {path}: {reason}\n"
+
+    def test_broken_pipe_exits_zero(self, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert run(["count", "lp", "--n", "3"]) == 0
 
     def test_env_cap_override(self, cli, monkeypatch):
         monkeypatch.setenv("MATCHBIJ_ENUM_CAP", "3")

@@ -108,6 +108,13 @@ class TestSvgRender:
         svg = render_svg(hairpin, width=700)
         assert 'width="700"' in svg
 
+    @pytest.mark.parametrize("setting,value", [
+        ("width", -50), ("width", 0), ("height", 0), ("height", -1)])
+    def test_size_below_one_rejected(self, hairpin, setting, value):
+        with pytest.raises(ValueError,
+                           match=f"^{setting} must be a positive integer, got {value}$"):
+            render_svg(hairpin, **{setting: value})
+
 
 class TestAgainstGridReference:
     @pytest.mark.parametrize("n", range(1, 7))

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from matchbij import all_matchings, from_pairs, is_lp
+from matchbij import all_matchings, from_pairs, is_lp, is_noncrossing, lr_sequence
 from matchbij import verify
 from matchbij.verify import SUITES, mirror, run_suite
 
@@ -130,3 +130,29 @@ def test_one_run_builds_each_family_once(monkeypatch):
 def test_core_suite_builds_no_lp_list(monkeypatch):
     monkeypatch.setattr(verify, "is_lp", None)  # calling it would raise
     assert all(ok for _, ok, _ in run_suite(4, "core"))
+
+
+def test_core_checks_share_one_walk_of_all_matchings(monkeypatch):
+    calls = {"all_matchings": 0}
+    _count_calls(monkeypatch, "all_matchings", calls)
+    assert all(ok for _, ok, _ in run_suite(4, "core"))
+    assert calls["all_matchings"] == 1
+    calls["all_matchings"] = 0
+    assert all(ok for _, ok, _ in run_suite(4, "all"))
+    # The core walk, the L & P filter, the mirror check and the stream count.
+    assert calls["all_matchings"] == 4
+
+
+def test_each_walked_check_keeps_its_own_first_failure(monkeypatch):
+    crossing = [m for m in all_matchings(4) if not is_noncrossing(m)]
+    target = crossing[5]
+    wrong = next(c for c in crossing if lr_sequence(c) != lr_sequence(target))
+    real = verify.nc
+    monkeypatch.setattr(verify, "nc", lambda m: wrong if m == target else real(m))
+    results = _results(4, "core")
+    assert results["core/lr-preserved-by-projection"] == (
+        False, f"projection changes LR word on {target}")
+    assert results["core/projection-idempotent"] == (
+        False, f"projection not idempotent on {target}")
+    for check in ("pair-partition", "edge-list-roundtrip"):
+        assert results[f"core/{check}"] == (True, "checked 105 matchings")
