@@ -25,13 +25,12 @@ explicitly in a ``LabeledMatching`` and revalidates it on every swap.
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .core import Edge, LabeledMatching, Matching, _scan, is_noncrossing, nc, nep, stats
+from .core import Edge, LabeledMatching, Matching, NCNTriple, _scan, is_noncrossing, nc, nep, stats
 from .lp import find_inflated_hairpin
 
 __all__ = [
     "NotLPError",
     "NotRepresentativeError",
-    "NCNTriple",
     "SwapStep",
     "swap_left",
     "swap_sequence",
@@ -51,34 +50,6 @@ class NotLPError(ValueError):
 class NotRepresentativeError(ValueError):
     """Raised when tau_inv is given a matching that is not a class
     representative."""
-
-
-@dataclass(frozen=True)
-class NCNTriple:
-    """A noncrossing matching with an optional chosen nested edge pair.
-
-    ``pair`` is (a, b) with a < b nested in ``base``, or None for "no pair
-    chosen" (serialized as the sentinel pair 0 0).
-
-    Construction checks both facts in O(1) per triple after O(n) once per
-    base: the noncrossing verdict and the pair table are kept on the base.
-    """
-
-    base: Matching
-    pair: Optional[tuple[int, int]] = None
-
-    def __post_init__(self):
-        if not is_noncrossing(self.base):
-            raise ValueError("base matching has crossings")
-        if self.pair is not None:
-            a, b = self.pair
-            if not 1 <= a < b <= self.base.n:
-                raise ValueError(
-                    f"pair {self.pair} is not an increasing pair of edge labels"
-                )
-            (la, ra), (lb, rb) = self.base._ends[a - 1], self.base._ends[b - 1]
-            if not (la < lb and rb < ra):
-                raise ValueError(f"edges {a} and {b} are not nested in the base")
 
 
 def swap_left(m: "Matching | LabeledMatching", a: int, b: int) -> LabeledMatching:
@@ -239,13 +210,7 @@ def tau(t: NCNTriple) -> Matching:
     if t.pair is None:
         return t.base
     order = nep(t.base)
-    try:
-        index = order.index(t.pair) + 1
-    except ValueError:
-        raise ValueError(
-            f"pair {t.pair} is not a nested pair of the base matching"
-        ) from None
-    return _apply_swaps(t.base, order, index)
+    return _apply_swaps(t.base, order, order.index(t.pair) + 1)
 
 
 def tau_inv(representative: Matching) -> NCNTriple:

@@ -8,24 +8,14 @@ not a representative, enumeration cap), 2 usage or input-parse errors.
 
 import argparse
 import sys
-from math import exp, lgamma, log, log1p
+from math import exp, inf, lgamma, log, log1p
 from typing import Optional
 
-from .core import InvalidMatchingError, is_noncrossing, lr_sequence, stats
+from .core import is_noncrossing, lr_sequence, stats
 from .lp import enumerate_lp, is_lp, lp_count_formula
-from .bijections import (
-    NotLPError,
-    NotRepresentativeError,
-    phi,
-    phi_inv,
-    sigma,
-    sigma_inv,
-    tau,
-    tau_inv,
-)
+from .bijections import phi, phi_inv, sigma, sigma_inv, tau, tau_inv
 from .similarity import census, ns_stream
 from .enumeration import (
-    EnumerationCapError,
     _ln_catalan,
     _ln_matchings,
     all_matchings,
@@ -42,7 +32,7 @@ from .formats import (
     parse_input,
     parse_ncn,
 )
-from .render import RenderSpec, render
+from .render import render
 from .verify import SUITES, run_suite
 
 __all__ = ["build_parser", "run", "main"]
@@ -98,15 +88,18 @@ def _read_input(infile: Optional[str]) -> str:
                 return handle.read()
         except OSError as exc:  # missing, a directory, unreadable
             raise ParseError(f"cannot read {infile}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise ParseError(f"cannot read {infile}: byte 0x{exc.object[exc.start]:02x} "
+                             f"on line {line} is not UTF-8") from None
     return sys.stdin.read()
 
 
 def _check_count_prints(what: str, n: int) -> None:
-    """Refuse a count that is too long to print under the interpreter's digit
-    limit, judged from n through lgamma before the count is computed."""
+    """Refuse a count too long to print, judged from n through lgamma before
+    the count is computed: a ValueError past the interpreter's digit limit,
+    and an OverflowError, as from a closed form, at sys.maxsize digits."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if not limit:
-        return
     try:
         if what == "matchings":
             ln_count = _ln_matchings(n)
@@ -116,54 +109,53 @@ def _check_count_prints(what: str, n: int) -> None:
             ln_central = lgamma(2 * n + 1) - 2 * lgamma(n + 1)  # ln C(2n, n)
             ln_top = (2 * n - 1) * log(2)
             ln_count = ln_top + log1p(-(3 * n - 1) / (2 * n + 2) * exp(ln_central - ln_top))
-        fits = ln_count / log(10) < limit
+        digits = ln_count / log(10)
     except OverflowError:  # n is too large for a float
-        fits = False
-    if not fits:
+        digits = inf
+    if limit and digits >= limit:
         raise ValueError(
             f"count {what} --n {n} has more than {limit} digits, the interpreter's "
             f"limit for printing an integer (PYTHONINTMAXSTRDIGITS)")
+    if digits >= sys.maxsize:
+        raise OverflowError
+
+
+def _count(what: str, n: int, brute: bool) -> int:
+    if what == "matchings":
+        return sum(1 for _ in all_matchings(n)) if brute else double_factorial(2 * n - 1)
+    if what == "noncrossing":
+        return sum(1 for _ in noncrossing_matchings(n)) if brute else catalan(n)
+    if what == "lp":
+        return sum(1 for _ in enumerate_lp(n)) if brute else lp_count_formula(n)
+    if what == "classes":
+        return census(n)[0] if brute else lp_count_formula(n)
+    return sum(1 for _ in ncn_elements(n))  # ncn has no separate closed form
 
 
 def _cmd_count(args) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    _check_count_prints(args.what, n)
-    if args.what == "matchings":
-        value = (sum(1 for _ in all_matchings(n)) if args.brute
-                 else double_factorial(2 * n - 1))
-    elif args.what == "noncrossing":
-        value = (sum(1 for _ in noncrossing_matchings(n)) if args.brute
-                 else catalan(n))
-    elif args.what == "lp":
-        value = (sum(1 for _ in enumerate_lp(n)) if args.brute
-                 else lp_count_formula(n))
-    elif args.what == "classes":
-        value = census(n)[0] if args.brute else lp_count_formula(n)
-    else:  # ncn has no separate closed form; it is always enumerated
-        value = sum(1 for _ in ncn_elements(n))
+    try:
+        _check_count_prints(args.what, n)
+        value = _count(args.what, n, args.brute)
+    except OverflowError:  # sys.maxsize digits, or a k past what math.comb takes
+        raise ValueError(f"count {args.what} --n {n} has too many digits to compute") from None
     sys.stdout.write(f"{value}\n")
     return 0
 
 
 def _cmd_map(args) -> int:
     text = _read_input(args.infile)
-    which = args.which
-    if which in ("phi-inv", "tau"):
-        triple = parse_ncn(text)
-        result = phi_inv(triple) if which == "phi-inv" else tau(triple)
-        sys.stdout.write(emit_matching(result, args.format))
-        return 0
-    m = parse_input(text)
-    if which == "phi":
-        sys.stdout.write(emit_ncn(phi(m)))
-    elif which == "tau-inv":
-        sys.stdout.write(emit_ncn(tau_inv(m)))
-    elif which == "sigma":
-        sys.stdout.write(emit_matching(sigma(m), args.format))
+    bijection = {"phi": phi, "phi-inv": phi_inv, "tau": tau, "tau-inv": tau_inv,
+                 "sigma": sigma, "sigma-inv": sigma_inv}[args.which]
+    # phi-inv and tau read a triple; phi and tau-inv write one.
+    reads_triple = args.which in ("phi-inv", "tau")
+    image = bijection(parse_ncn(text) if reads_triple else parse_input(text))
+    if args.which in ("phi", "tau-inv"):
+        sys.stdout.write(emit_ncn(image))
     else:
-        sys.stdout.write(emit_matching(sigma_inv(m), args.format))
+        sys.stdout.write(emit_matching(image, args.format))
     return 0
 
 
@@ -210,9 +202,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_render(args) -> int:
     m = parse_input(_read_input(args.infile))
-    spec = RenderSpec(format=args.format, width=args.width, height=args.height,
-                      labels=args.labels)
-    for piece in render(m, spec):  # line by line: a deep diagram is megabytes
+    # Line by line: a deep diagram is megabytes.
+    for piece in render(m, args.format, args.labels, args.width, args.height):
         sys.stdout.write(piece)
     return 0
 
@@ -241,8 +232,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
-    except (NotLPError, NotRepresentativeError, EnumerationCapError,
-            InvalidMatchingError, ValueError) as exc:
+    except ValueError as exc:  # not L & P, not a representative, a cap, ...
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

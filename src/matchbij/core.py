@@ -12,7 +12,7 @@ coordination.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 __all__ = [
     "InvalidMatchingError",
@@ -21,6 +21,7 @@ __all__ = [
     "LRSequence",
     "MatchingStats",
     "LabeledMatching",
+    "NCNTriple",
     "from_pairs",
     "edges",
     "lr_sequence",
@@ -197,8 +198,36 @@ class LabeledMatching:
         return Matching(self.n, tuple(partner))
 
 
+@dataclass(frozen=True)
+class NCNTriple:
+    """A noncrossing matching with an optional chosen nested edge pair.
+
+    ``pair`` is (a, b) with a < b nested in ``base``, or None for "no pair
+    chosen" (serialized as the sentinel pair 0 0).
+
+    Construction checks both facts in O(1) per triple after O(n) once per
+    base: the noncrossing verdict and the pair table are kept on the base.
+    """
+
+    base: Matching
+    pair: Optional[tuple[int, int]] = None
+
+    def __post_init__(self):
+        if not is_noncrossing(self.base):
+            raise ValueError("base matching has crossings")
+        if self.pair is not None:
+            a, b = self.pair
+            if not 1 <= a < b <= self.base.n:
+                raise ValueError(
+                    f"pair {self.pair} is not an increasing pair of edge labels"
+                )
+            (la, ra), (lb, rb) = self.base._ends[a - 1], self.base._ends[b - 1]
+            if not (la < lb and rb < ra):
+                raise ValueError(f"edges {a} and {b} are not nested in the base")
+
+
 def from_pairs(pairs: Iterable[tuple[int, int]], n: int) -> Matching:
-    """Build a matching from n endpoint pairs covering {0, ..., 2n-1}.
+    """Build a matching from n endpoint pairs covering {0, ..., 2n-1}; O(n).
 
     Rejects duplicate positions, out-of-range positions, and a wrong number
     of pairs, naming the offending value in each case.
@@ -223,13 +252,13 @@ def from_pairs(pairs: Iterable[tuple[int, int]], n: int) -> Matching:
 
 
 def edges(m: Matching) -> list[Edge]:
-    """The edges of ``m`` labeled 1..n in increasing left-endpoint order."""
+    """The edges of ``m`` labeled 1..n in increasing left-endpoint order; O(n)."""
     return [Edge(k + 1, l, r) for k, (l, r) in enumerate(m.pairs())]
 
 
 def lr_sequence(m: Matching) -> LRSequence:
     """The word recording, left to right, whether each position opens (L) or
-    closes (R) an edge."""
+    closes (R) an edge; O(n)."""
     return LRSequence(_lr_word(m.partner))
 
 
@@ -252,7 +281,7 @@ def _pair_by_stack(is_left: list[bool]) -> tuple[int, ...]:
 
 
 def matching_from_lr(word: "LRSequence | str") -> Matching:
-    """The unique noncrossing matching with the given LR word."""
+    """The unique noncrossing matching with the given LR word; O(n)."""
     seq = word if isinstance(word, LRSequence) else LRSequence(word)
     partner = _pair_by_stack([c == "L" for c in seq.word])
     return Matching(len(seq) // 2, partner)
@@ -262,7 +291,7 @@ def nc(m: Matching) -> Matching:
     """The unique noncrossing matching with the same LR word as ``m``.
 
     Computed by matching each right endpoint to the most recent unmatched
-    left endpoint (stack discipline).
+    left endpoint (stack discipline), O(n).
     """
     partner = _pair_by_stack([v < m.partner[v] for v in range(2 * m.n)])
     return Matching(m.n, partner)
@@ -341,7 +370,7 @@ def alignments(m: Matching) -> tuple[int, list[tuple[int, int]]]:
 
 
 def rperm(m: Matching) -> tuple[int, ...]:
-    """Edge labels in the order their right endpoints appear."""
+    """Edge labels in the order their right endpoints appear; O(n log n)."""
     return tuple(e.label for e in sorted(edges(m), key=lambda e: e.right))
 
 

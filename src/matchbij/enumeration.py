@@ -15,7 +15,7 @@ import os
 from math import comb, inf, lgamma, log
 from typing import Iterator
 
-from .core import Matching, matching_from_lr, nep
+from .core import Matching, NCNTriple, matching_from_lr, nep
 
 __all__ = [
     "EnumerationCapError",
@@ -40,7 +40,7 @@ class EnumerationCapError(ValueError):
 
 
 def enum_cap() -> int:
-    """The enumeration cap for full double-factorial streams.
+    """The enumeration cap for full double-factorial streams; O(1) plus one int parse.
 
     Reads MATCHBIJ_ENUM_CAP when it is set and nonempty; anything but a
     positive integer there is an ``EnumerationCapError`` naming the value.
@@ -60,7 +60,8 @@ def enum_cap() -> int:
 
 
 def double_factorial(m: int) -> int:
-    """(m)!! for odd positive m; counts complete matchings when m = 2n - 1."""
+    """(m)!! for odd positive m; counts complete matchings when m = 2n - 1.
+    O(m) small multiplications on a product of O(m log m) digits: O(m^2 log m)."""
     if m < 1 or m % 2 == 0:
         raise ValueError(f"double factorial defined here for odd positive m, got {m}")
     out = 1
@@ -70,7 +71,7 @@ def double_factorial(m: int) -> int:
 
 
 def catalan(n: int) -> int:
-    """The nth Catalan number; counts noncrossing matchings with n edges."""
+    """The nth Catalan number, counting noncrossing matchings; O(n^2) at most."""
     if n < 0:
         raise ValueError(f"catalan defined for n >= 0, got {n}")
     return comb(2 * n, n) // (n + 1)
@@ -116,7 +117,7 @@ def _check_cap(n: int, cap: int, what: str) -> None:
 
 
 def all_matchings(n: int) -> Iterator[Matching]:
-    """Every complete matching with n edges, in canonical order."""
+    """Every complete matching with n edges in canonical order; amortized O(n) each."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     _check_cap(n, enum_cap(), "full enumeration")
@@ -141,7 +142,7 @@ def all_matchings(n: int) -> Iterator[Matching]:
 
 
 def noncrossing_matchings(n: int) -> Iterator[Matching]:
-    """Every noncrossing matching with n edges, via LR-word generation."""
+    """Every noncrossing matching with n edges, via LR words; amortized O(n) each."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     _check_cap(n, enum_cap() + NONCROSSING_CAP_EXTRA, "noncrossing enumeration")
@@ -171,9 +172,6 @@ def ncn_elements(n: int):
     for its nested-pair list, and each triple O(1) after it: a triple is
     checked against the noncrossing verdict and pair table kept on its base.
     """
-    # Imported here: bijections sits above this module in the import order.
-    from .bijections import NCNTriple
-
     for m in noncrossing_matchings(n):
         yield NCNTriple(m, None)
         for p in nep(m):

@@ -18,8 +18,7 @@ chosen.
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import InvalidMatchingError, Matching, edges, from_pairs
-from .bijections import NCNTriple
+from .core import InvalidMatchingError, Matching, NCNTriple, edges, from_pairs
 
 __all__ = [
     "ParseError",
@@ -40,8 +39,6 @@ __all__ = [
 _OPEN = "([{<ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _CLOSE = ")]}>abcdefghijklmnopqrstuvwxyz"
 _FAMILY_LIMIT = len(_OPEN)
-
-FORMATS = ("pairs", "partner", "dotbracket")
 
 
 class ParseError(ValueError):
@@ -84,7 +81,7 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def parse_pairs(text: str) -> Matching:
-    """Parse the pair-list format."""
+    """Parse the pair-list format; O(L) for L characters of text."""
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty input")
@@ -126,7 +123,7 @@ def parse_pairs(text: str) -> Matching:
 
 
 def parse_partner(text: str) -> Matching:
-    """Parse the one-line partner-array format."""
+    """Parse the one-line partner-array format; O(L) for L characters."""
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty input")
@@ -139,7 +136,7 @@ def parse_partner(text: str) -> Matching:
         values = [int(t) for t in tokens]
     except ValueError:
         raise ParseError("partner-array entries must be integers", line=lineno) from None
-    if len(values) % 2 != 0 or not values:
+    if len(values) % 2 != 0:
         raise ParseError(f"partner-array needs a positive even number of "
                          f"entries, got {len(values)}", line=lineno)
     try:
@@ -172,7 +169,7 @@ def _decode_dotbracket(body: str, line: int) -> list[tuple[int, int]]:
 
 
 def parse_dotbracket(text: str) -> Matching:
-    """Parse the dot-bracket format."""
+    """Parse the dot-bracket format; O(L) for L characters."""
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty input")
@@ -180,27 +177,19 @@ def parse_dotbracket(text: str) -> Matching:
         raise ParseError("dot-bracket input must be a single line",
                          line=lines[1][0])
     lineno, body = lines[0]
-    pairs = _decode_dotbracket(body, line=lineno)
-    if len(body) % 2 != 0:
-        raise ParseError("odd number of positions", line=lineno)
-    return from_pairs(pairs, len(body) // 2)
-
-
-_PARSERS = {
-    "pairs": parse_pairs,
-    "partner": parse_partner,
-    "dotbracket": parse_dotbracket,
-}
+    # A decode that succeeds pairs every character.
+    return from_pairs(_decode_dotbracket(body, line=lineno), len(body) // 2)
 
 
 def parse_input(text: str, fmt: str = "auto") -> Matching:
     """Parse a matching in the named format, or auto-detect.
 
-    Auto-detection tries partner-array, then pair-list, then dot-bracket.
+    Auto-detection tries partner-array, then pair-list, then dot-bracket, so
+    it may parse up to three times; each parse is O(L) for L characters.
     """
     if fmt != "auto":
         try:
-            parser = _PARSERS[fmt]
+            parser = FORMATS[fmt][0]
         except KeyError:
             raise ValueError(f"unknown format {fmt!r}; expected one of "
                              f"{', '.join(FORMATS)} or auto") from None
@@ -208,14 +197,14 @@ def parse_input(text: str, fmt: str = "auto") -> Matching:
     failures = []
     for name in ("partner", "pairs", "dotbracket"):
         try:
-            return _PARSERS[name](text)
+            return FORMATS[name][0](text)
         except ParseError as exc:
             failures.append(f"{name}: {exc}")
     raise ParseError("input matches no known format (" + "; ".join(failures) + ")")
 
 
 def parse_ncn(text: str) -> NCNTriple:
-    """Parse a matching plus its trailing "nesting a b" line."""
+    """Parse a matching plus its trailing "nesting a b" line; O(L), as ``parse_input``."""
     lines = text.splitlines()
     nesting_at = None
     for lineno, raw in enumerate(lines, start=1):
@@ -242,22 +231,22 @@ def parse_ncn(text: str) -> NCNTriple:
 
 
 def emit_pairs(m: Matching) -> str:
-    """Serialize in the canonical pair-list format."""
+    """Serialize in the canonical pair-list format; O(n)."""
     lines = [str(m.n)]
     lines += [f"{l} {r}" for l, r in m.pairs()]
     return "\n".join(lines) + "\n"
 
 
 def emit_partner(m: Matching) -> str:
-    """Serialize as a one-line partner array."""
+    """Serialize as a one-line partner array; O(n)."""
     return " ".join(str(w) for w in m.partner) + "\n"
 
 
 def emit_dotbracket(m: Matching) -> DotBracketString:
     """Serialize as dot-bracket with greedy family assignment.
 
-    Edges are scanned by left endpoint; each takes the lowest-index family
-    in which it crosses no previously assigned edge.
+    Edges are scanned by left endpoint, O(n^2) in all; each takes the
+    lowest-index family in which it crosses no previously assigned edge.
     """
     es = edges(m)
     family: dict[int, int] = {}
@@ -283,17 +272,25 @@ def emit_dotbracket(m: Matching) -> DotBracketString:
     return DotBracketString("".join(symbols))
 
 
+# Each matching format's name, in help order, with its (parser, emitter).
+FORMATS = {
+    "pairs": (parse_pairs, emit_pairs),
+    "partner": (parse_partner, emit_partner),
+    "dotbracket": (parse_dotbracket, lambda m: str(emit_dotbracket(m)) + "\n"),
+}
+
+
 def emit_matching(m: Matching, fmt: str) -> str:
-    if fmt == "pairs":
-        return emit_pairs(m)
-    if fmt == "partner":
-        return emit_partner(m)
-    if fmt == "dotbracket":
-        return str(emit_dotbracket(m)) + "\n"
-    raise ValueError(f"unknown format {fmt!r}; expected one of {', '.join(FORMATS)}")
+    """Serialize in the named format with one table lookup; O(n), dot-bracket O(n^2)."""
+    try:
+        emit = FORMATS[fmt][1]
+    except KeyError:
+        raise ValueError(f"unknown format {fmt!r}; expected one of "
+                         f"{', '.join(FORMATS)}") from None
+    return emit(m)
 
 
 def emit_ncn(t: NCNTriple) -> str:
-    """Serialize a triple: pair-list plus the sentinel-bearing nesting line."""
+    """Serialize a triple: pair-list plus the sentinel-bearing nesting line; O(n)."""
     a, b = t.pair if t.pair is not None else (0, 0)
     return emit_pairs(t.base) + f"nesting {a} {b}\n"

@@ -98,7 +98,7 @@ def is_lp(m: Matching) -> bool:
 
 
 def lp_count_formula(n: int) -> int:
-    """Exact number of L & P matchings with n edges, by the closed form."""
+    """Exact count of L & P matchings with n edges by the closed form; O(n^2) at most."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     numerator = (3 * n - 1) * comb(2 * n, n)
@@ -111,7 +111,7 @@ def lp_count_formula(n: int) -> int:
 
 
 def enumerate_lp(n: int) -> Iterator[Matching]:
-    """Every L & P matching with n edges, in canonical enumeration order."""
+    """Every L & P matching with n edges in canonical order; O(n^2) per matching filtered."""
     for m in all_matchings(n):
         if is_lp(m):
             yield m

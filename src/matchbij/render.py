@@ -1,26 +1,16 @@
 """Arc-diagram rendering: plain text and SVG.
 
 Vertices sit on a baseline and every edge is an arc above it. Output is
-deterministic for a fixed matching and spec, so renders can be golden-filed.
+deterministic for a fixed matching and options, so renders can be golden-filed.
 """
 
+import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import Matching, edges
 
-__all__ = ["RenderSpec", "render", "render_text", "render_svg"]
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    """Rendering options: output format, size hints, edge-label toggle."""
-
-    format: str = "text"
-    width: Optional[int] = None
-    height: Optional[int] = None
-    labels: bool = False
+__all__ = ["render", "render_text", "render_svg"]
 
 
 def _text_lines(m: Matching, labels: bool) -> Iterator[str]:
@@ -80,15 +70,18 @@ def render_svg(m: Matching, labels: bool = False,
                width: Optional[int] = None,
                height: Optional[int] = None) -> str:
     """SVG arc diagram: circles on a baseline, semicircular arcs above; O(n).
-    A width or height below 1 raises ValueError."""
+    A width or height below 1, or past the largest float, raises ValueError."""
     for setting, value in (("width", width), ("height", height)):
         if value is not None and value < 1:
             raise ValueError(f"{setting} must be a positive integer, got {value}")
+        if value is not None and value > sys.float_info.max:
+            raise ValueError(f"{setting} is too large to draw: the largest is "
+                             f"{sys.float_info.max:g}")
     es = edges(m)
     n2 = 2 * m.n
     margin = 20.0
     unit = 24.0
-    if width is not None and n2 > 1:
+    if width is not None:
         unit = max((width - 2 * margin) / (n2 - 1), 1.0)
     max_radius = max((e.right - e.left) for e in es) * unit / 2
     label_room = 14.0 if labels else 0.0
@@ -130,13 +123,15 @@ def render_svg(m: Matching, labels: bool = False,
     return "\n".join(parts) + "\n"
 
 
-def render(m: Matching, spec: RenderSpec = RenderSpec()) -> Iterator[str]:
-    """Render ``m`` according to ``spec``, yielding text line by line at the
-    cost of ``render_text``, or SVG whole in O(n); an unknown format raises
-    ValueError on the first ``next``."""
-    if spec.format == "text":
-        yield from _text_lines(m, spec.labels)
-    elif spec.format == "svg":
-        yield render_svg(m, labels=spec.labels, width=spec.width, height=spec.height)
+def render(m: Matching, format: str = "text", labels: bool = False,
+           width: Optional[int] = None, height: Optional[int] = None) -> Iterator[str]:
+    """Render ``m`` as ``format`` "text" or "svg", yielding text line by line
+    at the cost of ``render_text``, or SVG whole in O(n); ``width`` and
+    ``height`` apply to SVG only. An unknown format raises ValueError on the
+    first ``next``."""
+    if format == "text":
+        yield from _text_lines(m, labels)
+    elif format == "svg":
+        yield render_svg(m, labels=labels, width=width, height=height)
     else:
-        raise ValueError(f"unknown render format {spec.format!r}; expected text or svg")
+        raise ValueError(f"unknown render format {format!r}; expected text or svg")

@@ -52,7 +52,7 @@ class ClassKey:
 
 
 def class_key(m: Matching) -> ClassKey:
-    """The similarity-class key of ``m``."""
+    """The similarity-class key of ``m``; O(n^2) at most."""
     return ClassKey(lr_sequence(m), stats(m).ne)
 
 
@@ -87,12 +87,12 @@ def ns_stream(n: int):
 
 
 def ns_representatives(n: int) -> set[Matching]:
-    """The canonical representative set for all similarity classes."""
+    """All canonical class representatives as a set, at the cost of ``ns_stream``."""
     return set(ns_stream(n))
 
 
 def is_representative(m: Matching) -> bool:
-    """True iff ``m`` is one of the canonical class representatives."""
+    """True iff ``m`` is a canonical class representative; O(n^2), as ``tau_inv``."""
     try:
         tau_inv(m)
     except NotRepresentativeError:

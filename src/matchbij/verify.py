@@ -15,6 +15,7 @@ from typing import Callable, Iterable
 
 from .core import (
     Matching,
+    NCNTriple,
     alignments,
     crossings,
     edges,
@@ -29,7 +30,7 @@ from .core import (
     stats,
 )
 from .lp import find_inflated_hairpin, is_lp, lp_count_formula
-from .bijections import NCNTriple, phi, phi_inv, sigma, sigma_inv, swap_sequence, tau, tau_inv
+from .bijections import phi, phi_inv, sigma, sigma_inv, swap_sequence, tau, tau_inv
 from .similarity import ClassKey, census, class_key, ns_representatives
 from .enumeration import all_matchings, catalan, double_factorial, ncn_elements, noncrossing_matchings
 

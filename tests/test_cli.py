@@ -91,6 +91,17 @@ class TestCount:
             assert (code, out) == (0, f"{count(n - 1)}\n")
             assert cli(["count", what, "--n", str(n)])[0] == 1
 
+    @pytest.mark.parametrize("what,n", [(what, 10 ** 31) for what in COUNTED] + [
+        (what, 10 ** 19) for what in ("noncrossing", "lp", "classes")])
+    def test_count_too_long_without_a_digit_limit(self, cli, monkeypatch, what, n):
+        # At 10^31 the estimate reaches sys.maxsize digits, before (2n-1)!! is
+        # multiplied out; at 10^19 it does not, but math.comb takes no k = n.
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        start = time.perf_counter()
+        assert cli(["count", what, "--n", str(n)]) == (
+            1, "", f"error: count {what} --n {n} has too many digits to compute\n")
+        assert time.perf_counter() - start < 5
+
     def test_large_printable_count(self, cli):
         code, out, _ = cli(["count", "lp", "--n", "3000"])
         assert (code, out) == (0, f"{lp_count_formula(3000)}\n")
@@ -211,6 +222,11 @@ class TestRender:
         assert cli(["render", "--format", "svg", flag, value], LP_PAIRS) == (
             1, "", f"error: {flag[2:]} must be a positive integer, got {value}\n")
 
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    def test_svg_size_past_float_range(self, cli, flag):
+        assert cli(["render", "--format", "svg", flag, "1" + "0" * 400], LP_PAIRS) == (
+            1, "", f"error: {flag[2:]} is too large to draw: the largest is 1.79769e+308\n")
+
     def test_labels(self, cli):
         code, out, _ = cli(["render", "--labels"], "2\n0 2\n1 3\n")
         assert "1" in out and "2" in out
@@ -271,6 +287,12 @@ class TestExitCodes:
         code, out, err = cli([command, "--in", str(path)])
         assert (code, out) == (2, "")
         assert err == f"error: cannot read {path}: {reason}\n"
+
+    def test_input_file_not_utf8(self, cli, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"2\n0 2\n1 \xff3\n")
+        assert cli(["classify", "--in", str(path)]) == (
+            2, "", f"error: cannot read {path}: byte 0xff on line 3 is not UTF-8\n")
 
     def test_broken_pipe_exits_zero(self, monkeypatch):
         class ClosedPipe:

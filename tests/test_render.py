@@ -8,7 +8,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from matchbij import (
-    RenderSpec,
     all_matchings,
     edges,
     from_pairs,
@@ -156,17 +155,16 @@ class TestAgainstGridReference:
 
 class TestRenderDispatch:
     def test_spec_routes_formats(self, hairpin):
-        assert "".join(render(hairpin, RenderSpec(format="text"))) == render_text(hairpin)
-        assert "".join(render(hairpin, RenderSpec(format="svg"))) == render_svg(hairpin)
+        assert "".join(render(hairpin, format="text")) == render_text(hairpin)
+        assert "".join(render(hairpin, format="svg")) == render_svg(hairpin)
 
     def test_text_comes_line_by_line(self, lp_example):
-        spec = RenderSpec(labels=True)
-        assert list(render(lp_example, spec)) == render_text(
+        assert list(render(lp_example, labels=True)) == render_text(
             lp_example, labels=True).splitlines(keepends=True)
 
     def test_unknown_format(self, hairpin):
         with pytest.raises(ValueError, match="unknown render format"):
-            "".join(render(hairpin, RenderSpec(format="png")))
+            "".join(render(hairpin, format="png"))
 
     def test_default_is_text(self, hairpin):
         assert "".join(render(hairpin)) == render_text(hairpin)
