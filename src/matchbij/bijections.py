@@ -153,15 +153,17 @@ def phi(m: Matching) -> NCNTriple:
     pair recording the hairpin maxima; noncrossing input maps to itself with
     no pair chosen.
 
-    O(n^2) at most for n edges, dominated by the one-pass scan behind
-    ``find_inflated_hairpin``; a rejection names the first crossing pair
-    after one more scan.
+    O(n log n) for n edges plus the one-pass scan behind
+    ``find_inflated_hairpin``, O(n^2 / 30) digit steps at worst; a rejection
+    names the first crossing pair after one more scan and O(n).
     """
     decomposition = find_inflated_hairpin(m)
     if decomposition is None:
-        # The first crossing pair: the least label crossing a larger one, and
-        # the least larger label it crosses.
-        a = min(_scan(m.partner)[2])
+        # The first crossing pair: the least label crossing a larger one (the
+        # lowest bit of the scan's A mask), and the least larger label it
+        # crosses.
+        a_mask = _scan(m.partner)[2]
+        a = (a_mask & -a_mask).bit_length() - 1
         ends = m._ends
         ra = ends[a - 1][1]
         b = next(b for b in range(a + 1, m.n + 1) if ends[b - 1][0] < ra < ends[b - 1][1])

@@ -95,10 +95,16 @@ def _read_input(infile: Optional[str]) -> str:
     return sys.stdin.read()
 
 
+# The most digits ``count`` computes, whatever the interpreter's digit limit.
+# (2n-1)!! is a sequential product and printing an int is quadratic in its
+# digits, so a count of 10^6 digits already takes most of a minute.
+_MAX_COUNT_DIGITS = 10 ** 6
+
+
 def _check_count_prints(what: str, n: int) -> None:
     """Refuse a count too long to print, judged from n through lgamma before
-    the count is computed: a ValueError past the interpreter's digit limit,
-    and an OverflowError, as from a closed form, at sys.maxsize digits."""
+    the count is computed: a ValueError past the interpreter's digit limit
+    or past _MAX_COUNT_DIGITS."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     try:
         if what == "matchings":
@@ -116,8 +122,8 @@ def _check_count_prints(what: str, n: int) -> None:
         raise ValueError(
             f"count {what} --n {n} has more than {limit} digits, the interpreter's "
             f"limit for printing an integer (PYTHONINTMAXSTRDIGITS)")
-    if digits >= sys.maxsize:
-        raise OverflowError
+    if digits >= _MAX_COUNT_DIGITS:
+        raise ValueError(f"count {what} --n {n} has too many digits to compute")
 
 
 def _count(what: str, n: int, brute: bool) -> int:
@@ -136,12 +142,8 @@ def _cmd_count(args) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    try:
-        _check_count_prints(args.what, n)
-        value = _count(args.what, n, args.brute)
-    except OverflowError:  # sys.maxsize digits, or a k past what math.comb takes
-        raise ValueError(f"count {args.what} --n {n} has too many digits to compute") from None
-    sys.stdout.write(f"{value}\n")
+    _check_count_prints(args.what, n)
+    sys.stdout.write(f"{_count(args.what, n, args.brute)}\n")
     return 0
 
 

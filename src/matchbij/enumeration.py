@@ -1,7 +1,8 @@
 """Canonical-order generators and exact counts for matching families.
 
 The generator order for all matchings is: the smallest unmatched position is
-paired with each larger free position in ascending order, recursively. It is
+paired with each larger free position in ascending order, then the rest is
+filled the same way; that is lexicographic order of partner tables. It is
 deterministic and replayable. Noncrossing matchings are generated through
 their LR words (lexicographic, L before R) rather than by filtering, since
 the Catalan numbers grow far slower than the double factorials.
@@ -117,28 +118,40 @@ def _check_cap(n: int, cap: int, what: str) -> None:
 
 
 def all_matchings(n: int) -> Iterator[Matching]:
-    """Every complete matching with n edges in canonical order; amortized O(n) each."""
+    """Every complete matching with n edges in canonical order, which is
+    lexicographic order of partner tables.
+
+    One loop with an explicit stack of the pairs placed so far stands in for
+    recursion, so each element passes through one generator frame. Amortized
+    O(n) per element, most of it building and validating the ``Matching``.
+    """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     _check_cap(n, enum_cap(), "full enumeration")
     size = 2 * n
     partner = [-1] * size
-
-    def fill(lo: int) -> Iterator[Matching]:
-        while lo < size and partner[lo] >= 0:
-            lo += 1
-        if lo == size:
+    placed: list[tuple[int, int]] = []  # (lo, w) of each pair above this level
+    lo = w = 0  # lo: the least free position; w: the partner of lo last tried
+    while True:
+        w += 1
+        while w < size and partner[w] >= 0:
+            w += 1
+        if w < size:
+            partner[lo] = w
+            partner[w] = lo
+            if len(placed) < n - 1:
+                placed.append((lo, w))
+                while partner[lo] >= 0:
+                    lo += 1
+                w = lo
+                continue
             yield Matching(n, tuple(partner))
+            partner[lo] = partner[w] = -1
+        # Every partner of lo is tried (the last pair has only one): back up.
+        if not placed:
             return
-        for w in range(lo + 1, size):
-            if partner[w] < 0:
-                partner[lo] = w
-                partner[w] = lo
-                yield from fill(lo + 1)
-                partner[lo] = -1
-                partner[w] = -1
-
-    yield from fill(0)
+        lo, w = placed.pop()
+        partner[lo] = partner[w] = -1
 
 
 def noncrossing_matchings(n: int) -> Iterator[Matching]:

@@ -18,7 +18,7 @@ chosen.
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import InvalidMatchingError, Matching, NCNTriple, edges, from_pairs
+from .core import InvalidMatchingError, Matching, NCNTriple, from_pairs
 
 __all__ = [
     "ParseError",
@@ -245,31 +245,33 @@ def emit_partner(m: Matching) -> str:
 def emit_dotbracket(m: Matching) -> DotBracketString:
     """Serialize as dot-bracket with greedy family assignment.
 
-    Edges are scanned by left endpoint, O(n^2) in all; each takes the
-    lowest-index family in which it crosses no previously assigned edge.
+    Edges are taken by left endpoint; each takes the lowest-index family in
+    which it crosses no previously assigned edge. A family's arcs never
+    cross, so its arcs open at a left endpoint are nested, and the new edge
+    crosses one of them iff it closes after the innermost. One stack of open
+    right endpoints per family makes that one comparison per family tried:
+    O(n * families) in all, with at most 30 families, plus the O(n)
+    validation of the result.
     """
-    es = edges(m)
-    family: dict[int, int] = {}
-    for e in es:
-        taken = set()
-        for g in es:
-            if g.left >= e.left:
-                break
-            # g starts earlier; they cross iff g closes inside e.
-            if e.left < g.right < e.right:
-                taken.add(family[g.label])
+    stacks: list[list[int]] = []  # per family, the right ends of its open arcs
+    family = [0] * (2 * m.n)  # by position
+    for v, w in enumerate(m.partner):
+        if w < v:
+            stacks[family[w]].pop()  # the innermost open arc of its family
+            continue
         f = 0
-        while f in taken:
+        while f < len(stacks) and stacks[f] and stacks[f][-1] < w:
             f += 1
         if f >= _FAMILY_LIMIT:
             raise ValueError(
                 f"matching needs more than {_FAMILY_LIMIT} bracket families")
-        family[e.label] = f
-    symbols = [""] * (2 * m.n)
-    for e in es:
-        symbols[e.left] = _OPEN[family[e.label]]
-        symbols[e.right] = _CLOSE[family[e.label]]
-    return DotBracketString("".join(symbols))
+        if f == len(stacks):
+            stacks.append([])
+        stacks[f].append(w)
+        family[v] = f
+    return DotBracketString("".join(
+        _OPEN[family[v]] if v < w else _CLOSE[family[w]]
+        for v, w in enumerate(m.partner)))
 
 
 # Each matching format's name, in help order, with its (parser, emitter).
@@ -281,7 +283,8 @@ FORMATS = {
 
 
 def emit_matching(m: Matching, fmt: str) -> str:
-    """Serialize in the named format with one table lookup; O(n), dot-bracket O(n^2)."""
+    """Serialize in the named format with one table lookup; O(n), dot-bracket
+    O(n * families)."""
     try:
         emit = FORMATS[fmt][1]
     except KeyError:

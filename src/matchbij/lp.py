@@ -51,6 +51,12 @@ class HairpinDecomposition:
             )
 
 
+def _labels(mask: int) -> tuple[int, ...]:
+    # The set bits of mask in increasing order, read from one binary string
+    # in O(bit length) instead of one shift per bit.
+    return tuple(k for k, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+
+
 def find_inflated_hairpin(m: Matching) -> Optional[HairpinDecomposition]:
     """Decompose ``m`` into its inflated hairpin, or None if it has none.
 
@@ -60,12 +66,13 @@ def find_inflated_hairpin(m: Matching) -> Optional[HairpinDecomposition]:
     nestedness, completeness of the A-B crossings, and gap confinement of
     all remaining edges. None means "not an L & P matching".
 
-    One pass over the partner table finds the sides and the crossing count,
-    which settles the first three checks at once; gap confinement then takes
-    O(n log n). O(n + cr + the summed depth of the open arcs) in all, at
-    most O(n^2).
+    One pass over the partner table (``core._scan``) finds the sides as bit
+    masks and the crossing count, which settles the first three checks at
+    once; listing the sides then takes O(n) and gap confinement
+    O(n log n). In all O(n log n) plus the scan's O(n) int operations on at
+    most n + 1 bits, O(n^2 / 30) digit steps at worst.
     """
-    _, cross_count, a_side, b_side = _scan(m.partner)
+    _, cross_count, a_mask, b_mask = _scan(m.partner)
     if cross_count == 0:
         return HairpinDecomposition((), (), {k: 0 for k in range(1, m.n + 1)})
     # Every crossing pair x < y has x in A and y in B, so the count reaches
@@ -73,11 +80,12 @@ def find_inflated_hairpin(m: Matching) -> Optional[HairpinDecomposition]:
     # pair crosses. Then each side is nested: two of its arcs cannot cross,
     # as the larger would be on both sides, and two aligned arcs cannot both
     # cross one arc of the other side.
-    if cross_count != len(a_side) * len(b_side):
+    if cross_count != a_mask.bit_count() * b_mask.bit_count():
         return None
 
+    a_side, b_side = _labels(a_mask), _labels(b_mask)
     pairs = m.pairs()
-    hairpin_labels = a_side | b_side
+    hairpin_labels = set(a_side + b_side)
     hairpin_vertices = sorted(v for x in hairpin_labels for v in pairs[x - 1])
     gaps: dict[int, int] = {}
     for label, (left, right) in enumerate(pairs, 1):
@@ -88,12 +96,13 @@ def find_inflated_hairpin(m: Matching) -> Optional[HairpinDecomposition]:
         if gl != gr:
             return None
         gaps[label] = gl
-    return HairpinDecomposition(tuple(sorted(a_side)), tuple(sorted(b_side)), gaps)
+    return HairpinDecomposition(a_side, b_side, gaps)
 
 
 def is_lp(m: Matching) -> bool:
-    """True iff ``m`` is an L & P matching; O(n + cr + the summed depth of
-    the open arcs), at most O(n^2), as ``find_inflated_hairpin``."""
+    """True iff ``m`` is an L & P matching; at the cost of
+    ``find_inflated_hairpin``, O(n log n) plus O(n^2 / 30) digit steps at
+    worst for the scan."""
     return find_inflated_hairpin(m) is not None
 
 

@@ -6,6 +6,7 @@ deterministic for a fixed matching and options, so renders can be golden-filed.
 
 import sys
 from bisect import bisect_right
+from math import isfinite
 from typing import Iterator, Optional
 
 from .core import Matching, edges
@@ -70,7 +71,8 @@ def render_svg(m: Matching, labels: bool = False,
                width: Optional[int] = None,
                height: Optional[int] = None) -> str:
     """SVG arc diagram: circles on a baseline, semicircular arcs above; O(n).
-    A width or height below 1, or past the largest float, raises ValueError."""
+    A width or height below 1, past the largest float, or so large that a
+    coordinate would not be finite raises ValueError."""
     for setting, value in (("width", width), ("height", height)):
         if value is not None and value < 1:
             raise ValueError(f"{setting} must be a positive integer, got {value}")
@@ -114,6 +116,11 @@ def render_svg(m: Matching, labels: bool = False,
     if labels:
         for e in es:
             cx = (x(e.left) + x(e.right)) / 2
+            # Every other coordinate is at most the width or height; this sum
+            # of two can overflow.
+            if not isfinite(cx):
+                raise ValueError("width is too large to draw with labels: "
+                                 "a label's x coordinate is not finite")
             cy = baseline - (e.right - e.left) * unit / 2 - 4
             parts.append(
                 f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" font-size="12" '

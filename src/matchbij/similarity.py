@@ -52,7 +52,8 @@ class ClassKey:
 
 
 def class_key(m: Matching) -> ClassKey:
-    """The similarity-class key of ``m``; O(n^2) at most."""
+    """The similarity-class key of ``m``; O(n) plus the scan behind
+    ``stats``, O(n^2 / 30) digit steps at worst."""
     return ClassKey(lr_sequence(m), stats(m).ne)
 
 
@@ -61,8 +62,9 @@ def census(n: int) -> tuple[int, dict[ClassKey, int]]:
 
     Returns the class count and a map from key to member count, keys in
     first-seen order. Only counts are stored, so memory stays bounded by the
-    number of classes rather than the double factorial. O(n^2) per matching
-    for its nesting count, plus one validated ``ClassKey`` per class.
+    number of classes rather than the double factorial. O(n) per matching
+    for its LR word and nesting count (at enumerable sizes the scan's masks
+    fit a machine word), plus one validated ``ClassKey`` per class.
     """
     counts: dict[tuple[str, int], int] = {}
     for m in all_matchings(n):

@@ -1,10 +1,11 @@
 """Differential tests of the one-pass classifier behind ``stats``,
-``find_inflated_hairpin`` and ``census`` against the quadratic references
-they replaced: a scan over every pair of edges for the counts, hairpin
-recognition from the ``crossings`` and ``nestings`` pair lists, and a census
-that calls ``class_key`` on every matching.
+``find_inflated_hairpin`` and ``census`` against the references it replaced:
+the list-based scan of the open arcs, a scan over every pair of edges for
+the counts, hairpin recognition from the ``crossings`` and ``nestings`` pair
+lists, and a census that calls ``class_key`` on every matching.
 """
 
+import random
 from bisect import bisect_left
 
 import pytest
@@ -27,8 +28,38 @@ from matchbij import (
     stats,
     swap_sequence,
 )
+from matchbij.core import _scan
 from matchbij.lp import HairpinDecomposition
 from test_swap_walk import dyck_words
+
+
+def reference_scan(partner):
+    """``core._scan`` with the open arcs as a list of labels and the sides as
+    sets: O(n + cr + the summed depth of the open arcs)."""
+    label_at = [0] * len(partner)
+    opened = []  # labels of the open arcs, in opening order
+    ne = cr = count = 0
+    larger, smaller = set(), set()
+    for v, w in enumerate(partner):
+        if v < w:
+            count += 1
+            label_at[v] = count
+            opened.append(count)
+            continue
+        a = label_at[w]
+        i = opened.index(a)
+        later = opened[i + 1:]
+        del opened[i]
+        ne += count - a - len(later)
+        if later:
+            cr += len(later)
+            larger.add(a)
+            smaller.update(later)
+    return ne, cr, larger, smaller
+
+
+def mask(labels):
+    return sum(1 << k for k in labels)
 
 
 def reference_stats(m):
@@ -97,7 +128,13 @@ def reference_census(n):
     return len(counts), counts
 
 
+def check_scan(m):
+    ne, cr, larger, smaller = reference_scan(m.partner)
+    assert _scan(m.partner) == (ne, cr, mask(larger), mask(smaller))
+
+
 def check(m):
+    check_scan(m)
     assert tuple(stats(m)) == reference_stats(m)
     assert find_inflated_hairpin(m) == reference_hairpin(m)
 
@@ -173,3 +210,10 @@ def test_near_lp_matchings_against_reference(m):
 ], ids=["ladder", "all-crossing", "hairpin"])
 def test_1200_edges_against_reference(pairs):
     check(from_pairs(pairs, 1200))
+
+
+def test_random_matching_of_10_to_the_4_edges_against_reference_scan():
+    n = 10 ** 4
+    order = list(range(2 * n))
+    random.Random(1).shuffle(order)
+    check_scan(from_pairs(zip(order[::2], order[1::2]), n))

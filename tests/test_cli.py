@@ -9,6 +9,7 @@ import pytest
 
 from matchbij import enumeration
 from matchbij import catalan, double_factorial, emit_pairs, from_pairs, lp_count_formula
+from matchbij import cli as cli_module
 from matchbij.cli import run
 
 LP_PAIRS = "7\n0 9\n1 6\n2 3\n4 13\n5 10\n7 8\n11 12\n"
@@ -94,13 +95,40 @@ class TestCount:
     @pytest.mark.parametrize("what,n", [(what, 10 ** 31) for what in COUNTED] + [
         (what, 10 ** 19) for what in ("noncrossing", "lp", "classes")])
     def test_count_too_long_without_a_digit_limit(self, cli, monkeypatch, what, n):
-        # At 10^31 the estimate reaches sys.maxsize digits, before (2n-1)!! is
-        # multiplied out; at 10^19 it does not, but math.comb takes no k = n.
+        # Both sizes are refused from the lgamma estimate, before (2n-1)!! is
+        # multiplied out or math.comb is called, which takes no k = 10^19.
         monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
         start = time.perf_counter()
         assert cli(["count", what, "--n", str(n)]) == (
             1, "", f"error: count {what} --n {n} has too many digits to compute\n")
         assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("what,n", [(what, 2 * 10 ** 6) for what in COUNTED] + [
+        ("matchings", 200000), ("ncn", 1000000000)])
+    def test_count_past_a_million_digits_without_a_digit_limit(self, cli, monkeypatch,
+                                                               what, n):
+        # Every family has more than 10^6 digits at n = 2 * 10^6; (2n-1)!! has
+        # 1.03 * 10^6 at n = 200000, which took 49 s to compute and print.
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        start = time.perf_counter()
+        assert cli(["count", what, "--n", str(n)]) == (
+            1, "", f"error: count {what} --n {n} has too many digits to compute\n")
+        assert time.perf_counter() - start < 5
+
+    def test_digit_ceiling_is_judged_exactly(self, cli, monkeypatch):
+        # With no digit limit, every closed-form count within the ceiling
+        # prints; the first one past it is refused.
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        monkeypatch.setattr(cli_module, "_MAX_COUNT_DIGITS", 640)
+        families = {"matchings": lambda n: double_factorial(2 * n - 1),
+                    "noncrossing": catalan, "lp": lp_count_formula}
+        for what, count in families.items():
+            n = 1
+            while count(n) < 10 ** 640:
+                n += 1
+            code, out, _ = cli(["count", what, "--n", str(n - 1)])
+            assert (code, out) == (0, f"{count(n - 1)}\n")
+            assert cli(["count", what, "--n", str(n)])[0] == 1
 
     def test_large_printable_count(self, cli):
         code, out, _ = cli(["count", "lp", "--n", "3000"])
@@ -226,6 +254,18 @@ class TestRender:
     def test_svg_size_past_float_range(self, cli, flag):
         assert cli(["render", "--format", "svg", flag, "1" + "0" * 400], LP_PAIRS) == (
             1, "", f"error: {flag[2:]} is too large to draw: the largest is 1.79769e+308\n")
+
+    def test_svg_label_coordinate_past_float_range(self, cli):
+        # 1.7e308 is below the largest float, but the centre of label 2 adds
+        # two x coordinates near it. Without labels, or as a height, it draws.
+        huge = "17" + "0" * 307
+        assert cli(["render", "--format", "svg", "--labels", "--width", huge], "2 3 0 1") == (
+            1, "", "error: width is too large to draw with labels: "
+            "a label's x coordinate is not finite\n")
+        for args in (["--width", huge], ["--labels", "--height", huge]):
+            code, out, err = cli(["render", "--format", "svg", *args], "2 3 0 1")
+            assert (code, err) == (0, "")
+            assert "inf" not in out and "nan" not in out
 
     def test_labels(self, cli):
         code, out, _ = cli(["render", "--labels"], "2\n0 2\n1 3\n")

@@ -4,6 +4,7 @@ import pytest
 
 from matchbij import (
     EnumerationCapError,
+    Matching,
     all_matchings,
     catalan,
     double_factorial,
@@ -14,6 +15,49 @@ from matchbij import (
     nestings,
     noncrossing_matchings,
 )
+
+
+def reference_all_matchings(n):
+    """The recursive generator ``all_matchings`` replaced: pair the least
+    free position with each larger free one in turn, then recurse."""
+    size = 2 * n
+    partner = [-1] * size
+
+    def fill(lo):
+        while lo < size and partner[lo] >= 0:
+            lo += 1
+        if lo == size:
+            yield Matching(n, tuple(partner))
+            return
+        for w in range(lo + 1, size):
+            if partner[w] < 0:
+                partner[lo] = w
+                partner[w] = lo
+                yield from fill(lo + 1)
+                partner[lo] = -1
+                partner[w] = -1
+
+    yield from fill(0)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_all_matchings_against_recursive_reference(n):
+    for got, want in zip(all_matchings(n), reference_all_matchings(n), strict=True):
+        assert got.partner == want.partner
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_one_validation_per_element(n, monkeypatch):
+    validations = []
+    original = Matching.__post_init__
+
+    def counted(self):
+        validations.append(self.partner)
+        original(self)
+
+    monkeypatch.setattr(Matching, "__post_init__", counted)
+    yielded = [m.partner for m in all_matchings(n)]
+    assert validations == yielded
 
 
 class TestCounts:

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from matchbij import (
     DotBracketString,
     NCNTriple,
     ParseError,
     all_matchings,
+    edges,
     emit_dotbracket,
     emit_matching,
     emit_ncn,
@@ -19,6 +21,7 @@ from matchbij import (
     parse_pairs,
     parse_partner,
 )
+from matchbij.formats import _CLOSE, _FAMILY_LIMIT, _OPEN
 
 
 class TestParsePairs:
@@ -192,3 +195,63 @@ class TestRoundTrips:
             for m in all_matchings(n):
                 families = {c for c in str(emit_dotbracket(m)) if c in openers}
                 assert (len(families) == 1) == is_noncrossing(m)
+
+
+def reference_emit_dotbracket(m):
+    """The quadratic emitter ``emit_dotbracket`` replaced: each edge, by left
+    endpoint, checks every earlier edge for a crossing."""
+    es = edges(m)
+    family = {}
+    for e in es:
+        taken = set()
+        for g in es:
+            if g.left >= e.left:
+                break
+            # g starts earlier; they cross iff g closes inside e.
+            if e.left < g.right < e.right:
+                taken.add(family[g.label])
+        f = 0
+        while f in taken:
+            f += 1
+        if f >= _FAMILY_LIMIT:
+            raise ValueError(
+                f"matching needs more than {_FAMILY_LIMIT} bracket families")
+        family[e.label] = f
+    symbols = [""] * (2 * m.n)
+    for e in es:
+        symbols[e.left] = _OPEN[family[e.label]]
+        symbols[e.right] = _CLOSE[family[e.label]]
+    return DotBracketString("".join(symbols))
+
+
+def emitted(emit, m):
+    """The dot-bracket text, or the error message when ``m`` needs too many
+    families."""
+    try:
+        return str(emit(m))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestDotBracketAgainstReference:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_matching(self, n):
+        for m in all_matchings(n):
+            assert str(emit_dotbracket(m)) == str(reference_emit_dotbracket(m))
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(st.integers(min_value=1, max_value=200).flatmap(
+        lambda n: st.permutations(range(2 * n))))
+    def test_random_matchings(self, order):
+        m = from_pairs(zip(order[::2], order[1::2]), len(order) // 2)
+        assert emitted(emit_dotbracket, m) == emitted(reference_emit_dotbracket, m)
+
+    @pytest.mark.parametrize("pairs", [
+        [(k, 9999 - k) for k in range(5000)],  # nested ladder
+        [(k, 30 + k) for k in range(30)],  # all crossing: every family
+        [(k, 31 + k) for k in range(31)],  # all crossing: one family too many
+    ], ids=["ladder-5000", "all-crossing-30", "all-crossing-31"])
+    def test_large_and_family_limit(self, pairs):
+        m = from_pairs(pairs, len(pairs))
+        assert emitted(emit_dotbracket, m) == emitted(reference_emit_dotbracket, m)

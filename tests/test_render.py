@@ -114,6 +114,12 @@ class TestSvgRender:
                            match=f"^{setting} must be a positive integer, got {value}$"):
             render_svg(hairpin, **{setting: value})
 
+    def test_label_coordinate_past_float_range_rejected(self, hairpin):
+        width = 17 * 10 ** 307
+        with pytest.raises(ValueError, match="^width is too large to draw with labels"):
+            render_svg(hairpin, labels=True, width=width)
+        assert "inf" not in render_svg(hairpin, width=width)
+
 
 class TestAgainstGridReference:
     @pytest.mark.parametrize("n", range(1, 7))
