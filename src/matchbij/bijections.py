@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .core import Edge, LabeledMatching, Matching, NCNTriple, _scan, is_noncrossing, nc, nep, stats
-from .lp import find_inflated_hairpin
+from .lp import _hairpin
 
 __all__ = [
     "NotLPError",
@@ -155,14 +155,15 @@ def phi(m: Matching) -> NCNTriple:
 
     O(n log n) for n edges plus the one-pass scan behind
     ``find_inflated_hairpin``, O(n^2 / 30) digit steps at worst; a rejection
-    names the first crossing pair after one more scan and O(n).
+    reads the first crossing pair from the same scan in O(n) more.
     """
-    decomposition = find_inflated_hairpin(m)
+    scanned = _scan(m.partner)
+    decomposition = _hairpin(m, scanned)
     if decomposition is None:
         # The first crossing pair: the least label crossing a larger one (the
         # lowest bit of the scan's A mask), and the least larger label it
         # crosses.
-        a_mask = _scan(m.partner)[2]
+        a_mask = scanned[2]
         a = (a_mask & -a_mask).bit_length() - 1
         ends = m._ends
         ra = ends[a - 1][1]

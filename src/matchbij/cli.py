@@ -11,8 +11,8 @@ import sys
 from math import exp, inf, lgamma, log, log1p
 from typing import Optional
 
-from .core import is_noncrossing, lr_sequence, stats
-from .lp import enumerate_lp, is_lp, lp_count_formula
+from .core import _scan, lr_sequence
+from .lp import _hairpin, enumerate_lp, lp_count_formula
 from .bijections import phi, phi_inv, sigma, sigma_inv, tau, tau_inv
 from .similarity import census, ns_stream
 from .enumeration import (
@@ -163,12 +163,13 @@ def _cmd_map(args) -> int:
 
 def _cmd_classify(args) -> int:
     m = parse_input(_read_input(args.infile))
-    st = stats(m)
+    scanned = _scan(m.partner)  # one scan for the counts and the L & P test
+    ne, cr = scanned[:2]
     lines = [
-        f"noncrossing: {str(is_noncrossing(m)).lower()}",
-        f"lp: {str(is_lp(m)).lower()}",
-        f"ne: {st.ne}",
-        f"cr: {st.cr}",
+        f"noncrossing: {str(cr == 0).lower()}",
+        f"lp: {str(_hairpin(m, scanned) is not None).lower()}",
+        f"ne: {ne}",
+        f"cr: {cr}",
         f"lr: {lr_sequence(m)}",
     ]
     sys.stdout.write("\n".join(lines) + "\n")

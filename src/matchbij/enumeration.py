@@ -154,6 +154,49 @@ def all_matchings(n: int) -> Iterator[Matching]:
         partner[lo] = partner[w] = -1
 
 
+def _walk(n: int) -> Iterator[tuple[int, int]]:
+    """The walk of ``all_matchings`` without the ``Matching``s, for the class
+    census: ``(lefts, ne)`` per element in the same order, ``lefts`` having
+    bit v set iff position v is a left end (the LR word) and ``ne`` the
+    nesting count. The cap is checked at the call.
+
+    Pairs are placed from the least free position up, so when (lo, w) is
+    placed every arc already placed opened before lo, and it nests the new
+    arc iff its right end lies past w. With the placed ends kept as two
+    masks, finding the next free w and counting those arcs are a few
+    operations on ints of 2n bits: amortized O(1) of them per element.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    _check_cap(n, enum_cap(), "full enumeration")
+
+    def walk() -> Iterator[tuple[int, int]]:
+        everything = (1 << 2 * n) - 1
+        # (lo, w, lefts, rights, ne) before each pair above this level.
+        stack: list[tuple[int, int, int, int, int]] = []
+        lo = w = lefts = rights = ne = 0
+        while True:
+            later = (everything ^ lefts ^ rights) & -(2 << w)  # free past w
+            if later:
+                w = (later & -later).bit_length() - 1
+                placed_ne = ne + (rights >> w).bit_count()
+                if len(stack) < n - 1:
+                    stack.append((lo, w, lefts, rights, ne))
+                    lefts |= 1 << lo
+                    rights |= 1 << w
+                    ne = placed_ne
+                    free = everything ^ lefts ^ rights
+                    lo = w = (free & -free).bit_length() - 1
+                    continue
+                # The last pair has only the one w: yield, then back up.
+                yield lefts | 1 << lo, placed_ne
+            if not stack:
+                return
+            lo, w, lefts, rights, ne = stack.pop()
+
+    return walk()
+
+
 def noncrossing_matchings(n: int) -> Iterator[Matching]:
     """Every noncrossing matching with n edges, via LR words; amortized O(n) each."""
     if n < 1:

@@ -72,7 +72,13 @@ def find_inflated_hairpin(m: Matching) -> Optional[HairpinDecomposition]:
     O(n log n). In all O(n log n) plus the scan's O(n) int operations on at
     most n + 1 bits, O(n^2 / 30) digit steps at worst.
     """
-    _, cross_count, a_mask, b_mask = _scan(m.partner)
+    return _hairpin(m, _scan(m.partner))
+
+
+def _hairpin(m: Matching, scanned: tuple[int, int, int, int]) -> Optional[HairpinDecomposition]:
+    """``find_inflated_hairpin`` on the result of ``_scan(m.partner)``, for
+    callers that read the scan too; O(n log n)."""
+    _, cross_count, a_mask, b_mask = scanned
     if cross_count == 0:
         return HairpinDecomposition((), (), {k: 0 for k in range(1, m.n + 1)})
     # Every crossing pair x < y has x in A and y in B, so the count reaches
@@ -120,7 +126,10 @@ def lp_count_formula(n: int) -> int:
 
 
 def enumerate_lp(n: int) -> Iterator[Matching]:
-    """Every L & P matching with n edges in canonical order; O(n^2) per matching filtered."""
+    """Every L & P matching with n edges in canonical order: the brute filter
+    of ``all_matchings`` by ``is_lp``. Each matching costs its validation and
+    one scan, O(n) int operations at enumerable sizes; an accepted one costs
+    O(n log n) more for its decomposition."""
     for m in all_matchings(n):
         if is_lp(m):
             yield m

@@ -7,20 +7,19 @@ matchings reachable from a noncrossing matching by an initial segment of its
 swap sequence; one per class.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
     LRSequence,
     Matching,
-    _lr_word,
-    _scan,
     lr_sequence,
     matching_from_lr,
     nep,
     stats,
 )
 from .bijections import NotRepresentativeError, _swap_walk, tau_inv
-from .enumeration import all_matchings, noncrossing_matchings
+from .enumeration import _walk, noncrossing_matchings
 
 __all__ = [
     "ClassKey",
@@ -62,15 +61,17 @@ def census(n: int) -> tuple[int, dict[ClassKey, int]]:
 
     Returns the class count and a map from key to member count, keys in
     first-seen order. Only counts are stored, so memory stays bounded by the
-    number of classes rather than the double factorial. O(n) per matching
-    for its LR word and nesting count (at enumerable sizes the scan's masks
-    fit a machine word), plus one validated ``ClassKey`` per class.
+    number of classes rather than the double factorial. The walk carries each
+    matching's LR word (as a mask) and nesting count, amortized O(1) int
+    operations per matching at enumerable sizes; each class then costs O(n)
+    to spell its word plus one validated ``ClassKey``.
     """
-    counts: dict[tuple[str, int], int] = {}
-    for m in all_matchings(n):
-        key = (_lr_word(m.partner), _scan(m.partner)[0])
-        counts[key] = counts.get(key, 0) + 1
-    return len(counts), {ClassKey(LRSequence(w), ne): c for (w, ne), c in counts.items()}
+    counts = Counter(_walk(n))  # keys in first-seen order
+    size = 2 * n
+    return len(counts), {
+        ClassKey(LRSequence("".join("RL"[lefts >> v & 1] for v in range(size))), ne): c
+        for (lefts, ne), c in counts.items()
+    }
 
 
 def ns_stream(n: int):

@@ -7,6 +7,7 @@ from matchbij import (
     Matching,
     all_matchings,
     catalan,
+    census,
     double_factorial,
     from_pairs,
     is_noncrossing,
@@ -15,6 +16,8 @@ from matchbij import (
     nestings,
     noncrossing_matchings,
 )
+from matchbij.core import _scan
+from matchbij.enumeration import _walk
 
 
 def reference_all_matchings(n):
@@ -58,6 +61,44 @@ def test_one_validation_per_element(n, monkeypatch):
     monkeypatch.setattr(Matching, "__post_init__", counted)
     yielded = [m.partner for m in all_matchings(n)]
     assert validations == yielded
+
+
+def check_walk(n):
+    # The recursive reference pins the order; the scan, tested against its
+    # own reference in test_classifier.py, gives the nesting count.
+    walked = 0
+    for (lefts, ne), m in zip(_walk(n), reference_all_matchings(n), strict=True):
+        assert lefts == sum(1 << v for v, w in enumerate(m.partner) if v < w), m
+        assert ne == _scan(m.partner)[0], m
+        walked += 1
+    assert walked == double_factorial(2 * n - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_walk_against_partner_tables(n):
+    check_walk(n)
+
+
+@pytest.mark.slow
+def test_walk_against_partner_tables_at_size_8():
+    check_walk(8)
+
+
+def test_walk_of_one_edge():
+    # The only element: one left end at 0, so the LR word is "LR".
+    assert list(_walk(1)) == [(0b01, 0)]
+    count, keys = census(1)
+    assert count == 1 and [str(key.lr) for key in keys] == ["LR"]
+
+
+def test_walk_checks_its_size_at_the_call():
+    with pytest.raises(EnumerationCapError) as walked:
+        _walk(9)
+    with pytest.raises(EnumerationCapError) as listed:
+        next(all_matchings(9))
+    assert str(walked.value) == str(listed.value)
+    with pytest.raises(ValueError, match="n must be positive"):
+        _walk(0)
 
 
 class TestCounts:
