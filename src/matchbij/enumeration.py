@@ -16,7 +16,7 @@ import os
 from math import comb, inf, lgamma, log
 from typing import Iterator
 
-from .core import Matching, NCNTriple, matching_from_lr, nep
+from .core import Matching, NCNTriple, _pair_by_stack, nep
 
 __all__ = [
     "EnumerationCapError",
@@ -197,27 +197,30 @@ def _walk(n: int) -> Iterator[tuple[int, int]]:
     return walk()
 
 
+def _walk_word(lefts: int, n: int) -> str:
+    """The LR word of a ``_walk`` left-end mask on 2n positions; O(n)."""
+    return "".join("RL"[lefts >> v & 1] for v in range(2 * n))
+
+
 def noncrossing_matchings(n: int) -> Iterator[Matching]:
-    """Every noncrossing matching with n edges, via LR words; amortized O(n) each."""
+    """Every noncrossing matching with n edges, by LR word in lexicographic
+    order (L before R) from L^n R^n: the next word turns the last L with an arc
+    open before it into R and moves the Ls after it left. Amortized O(n) each."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     _check_cap(n, enum_cap() + NONCROSSING_CAP_EXTRA, "noncrossing enumeration")
-
-    def words(opens: int, closes: int, prefix: list[str]) -> Iterator[str]:
-        if opens == n and closes == n:
-            yield "".join(prefix)
+    size = 2 * n
+    is_left = [True] * n + [False] * n
+    while True:
+        yield Matching(n, _pair_by_stack(is_left))
+        later = 0  # the Ls after v
+        for v in range(size - 1, -1, -1):
+            if is_left[v] and 2 * (n - later - 1) > v:  # more Ls than Rs before v
+                break
+            later += is_left[v]
+        else:  # (LR)^n was the last word
             return
-        if opens < n:
-            prefix.append("L")
-            yield from words(opens + 1, closes, prefix)
-            prefix.pop()
-        if closes < opens:
-            prefix.append("R")
-            yield from words(opens, closes + 1, prefix)
-            prefix.pop()
-
-    for word in words(0, 0, []):
-        yield matching_from_lr(word)
+        is_left[v:] = [False] + [True] * (later + 1) + [False] * (size - v - later - 2)
 
 
 def ncn_elements(n: int):

@@ -181,19 +181,9 @@ def parse_dotbracket(text: str) -> Matching:
     return from_pairs(_decode_dotbracket(body, line=lineno), len(body) // 2)
 
 
-def parse_input(text: str, fmt: str = "auto") -> Matching:
-    """Parse a matching in the named format, or auto-detect.
-
-    Auto-detection tries partner-array, then pair-list, then dot-bracket, so
-    it may parse up to three times; each parse is O(L) for L characters.
-    """
-    if fmt != "auto":
-        try:
-            parser = FORMATS[fmt][0]
-        except KeyError:
-            raise ValueError(f"unknown format {fmt!r}; expected one of "
-                             f"{', '.join(FORMATS)} or auto") from None
-        return parser(text)
+def parse_input(text: str) -> Matching:
+    """Parse a matching in whichever format it is written, trying partner-array,
+    then pair-list, then dot-bracket: up to three O(L) parses for L characters."""
     failures = []
     for name in ("partner", "pairs", "dotbracket"):
         try:
@@ -204,12 +194,15 @@ def parse_input(text: str, fmt: str = "auto") -> Matching:
 
 
 def parse_ncn(text: str) -> NCNTriple:
-    """Parse a matching plus its trailing "nesting a b" line; O(L), as ``parse_input``."""
+    """Parse a matching plus its one "nesting a b" line; O(L), as ``parse_input``."""
     lines = text.splitlines()
     nesting_at = None
     for lineno, raw in enumerate(lines, start=1):
         body = raw.split("#", 1)[0].strip()
         if body and body.split()[0] == "nesting":
+            if nesting_at is not None:
+                raise ParseError(f'second "nesting" line (the first is line '
+                                 f'{nesting_at[0]})', line=lineno)
             nesting_at = (lineno, body)
     if nesting_at is None:
         raise ParseError('missing "nesting a b" line')

@@ -19,7 +19,7 @@ from .core import (
     stats,
 )
 from .bijections import NotRepresentativeError, _swap_walk, tau_inv
-from .enumeration import _walk, noncrossing_matchings
+from .enumeration import _walk, _walk_word, noncrossing_matchings
 
 __all__ = [
     "ClassKey",
@@ -67,9 +67,8 @@ def census(n: int) -> tuple[int, dict[ClassKey, int]]:
     to spell its word plus one validated ``ClassKey``.
     """
     counts = Counter(_walk(n))  # keys in first-seen order
-    size = 2 * n
     return len(counts), {
-        ClassKey(LRSequence("".join("RL"[lefts >> v & 1] for v in range(size))), ne): c
+        ClassKey(LRSequence(_walk_word(lefts, n)), ne): c
         for (lefts, ne), c in counts.items()
     }
 

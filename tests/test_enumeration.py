@@ -15,9 +15,10 @@ from matchbij import (
     ncn_elements,
     nestings,
     noncrossing_matchings,
+    ns_stream,
 )
-from matchbij.core import _scan
-from matchbij.enumeration import _walk
+from matchbij.core import _lr_word, _scan, matching_from_lr
+from matchbij.enumeration import _walk, _walk_word
 
 
 def reference_all_matchings(n):
@@ -63,12 +64,84 @@ def test_one_validation_per_element(n, monkeypatch):
     assert validations == yielded
 
 
+def reference_noncrossing_matchings(n):
+    """The recursive generator ``noncrossing_matchings`` replaced: spell
+    each LR word, L before R, and pair it by the stack."""
+
+    def words(opens, closes, prefix):
+        if opens == n and closes == n:
+            yield "".join(prefix)
+            return
+        if opens < n:
+            prefix.append("L")
+            yield from words(opens + 1, closes, prefix)
+            prefix.pop()
+        if closes < opens:
+            prefix.append("R")
+            yield from words(opens, closes + 1, prefix)
+            prefix.pop()
+
+    for word in words(0, 0, []):
+        yield matching_from_lr(word)
+
+
+def check_noncrossing(n):
+    for got, want in zip(noncrossing_matchings(n), reference_noncrossing_matchings(n),
+                         strict=True):
+        assert got.partner == want.partner
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_noncrossing_matchings_against_recursive_reference(n):
+    check_noncrossing(n)
+
+
+@pytest.mark.slow
+def test_noncrossing_matchings_against_recursive_reference_at_size_12():
+    check_noncrossing(12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_one_validation_per_noncrossing_element(n, monkeypatch):
+    validations = []
+    original = Matching.__post_init__
+
+    def counted(self):
+        validations.append(self.partner)
+        original(self)
+
+    monkeypatch.setattr(Matching, "__post_init__", counted)
+    yielded = [m.partner for m in noncrossing_matchings(n)]
+    assert validations == yielded
+
+
+class TestLargeCatalanStreams:
+    # Sizes past the interpreter's recursion limit, which a recursive stream cannot reach.
+    @pytest.fixture(autouse=True)
+    def high_cap(self, monkeypatch):
+        monkeypatch.setenv("MATCHBIJ_ENUM_CAP", "3000")
+
+    def test_first_noncrossing_matching_is_fully_nested(self):
+        first = next(noncrossing_matchings(2000))
+        assert first.partner == tuple(range(3999, -1, -1))
+
+    def test_first_triple(self):
+        first = next(ncn_elements(600))
+        assert first.pair is None and first.base.partner[0] == 1199
+
+    def test_first_two_representatives(self):
+        stream = ns_stream(600)
+        nested, swapped = next(stream), next(stream)
+        assert nested.partner[0] == 1199
+        assert swapped != nested and swapped.n == 600
+
+
 def check_walk(n):
     # The recursive reference pins the order; the scan, tested against its
     # own reference in test_classifier.py, gives the nesting count.
     walked = 0
     for (lefts, ne), m in zip(_walk(n), reference_all_matchings(n), strict=True):
-        assert lefts == sum(1 << v for v, w in enumerate(m.partner) if v < w), m
+        assert _walk_word(lefts, n) == _lr_word(m.partner), m
         assert ne == _scan(m.partner)[0], m
         walked += 1
     assert walked == double_factorial(2 * n - 1)

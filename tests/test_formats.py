@@ -2,6 +2,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from matchbij import (
+    FORMATS,
     DotBracketString,
     NCNTriple,
     ParseError,
@@ -112,13 +113,9 @@ class TestAutoDetect:
         assert parse_input("([)]\n") == hairpin
 
     def test_explicit_format(self, hairpin):
-        assert parse_input("([)]", fmt="dotbracket") == hairpin
+        assert parse_dotbracket("([)]") == hairpin
         with pytest.raises(ParseError):
-            parse_input("([)]", fmt="pairs")
-
-    def test_unknown_format_name(self):
-        with pytest.raises(ValueError, match="unknown format"):
-            parse_input("()", fmt="weird")
+            parse_pairs("([)]")
 
     def test_garbage_reports_all_attempts(self):
         with pytest.raises(ParseError, match="no known format"):
@@ -143,6 +140,12 @@ class TestNCNSerialization:
     def test_pair_must_be_nested(self):
         with pytest.raises(ParseError, match="not nested"):
             parse_ncn("2\n0 1\n2 3\nnesting 1 2\n")
+
+    def test_second_nesting_line_is_named(self):
+        text = "# triple\n2\n0 3\n1 2\nnesting 1 2\nnesting 0 0\n"
+        with pytest.raises(ParseError) as info:
+            parse_ncn(text)
+        assert str(info.value) == 'line 6: second "nesting" line (the first is line 5)'
 
     def test_roundtrip_all_small_triples(self):
         for t in ncn_elements(4):
@@ -178,7 +181,7 @@ class TestRoundTrips:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_parse_inverts_emit(self, fmt, n):
         for m in all_matchings(n):
-            assert parse_input(emit_matching(m, fmt), fmt=fmt) == m
+            assert FORMATS[fmt][0](emit_matching(m, fmt)) == m
             assert parse_input(emit_matching(m, fmt)) == m
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
