@@ -8,6 +8,7 @@ not a representative, enumeration cap), 2 usage or input-parse errors.
 
 import argparse
 import sys
+from itertools import islice
 from math import exp, inf, lgamma, log, log1p
 from typing import Optional
 
@@ -56,8 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=["phi", "phi-inv", "tau", "tau-inv",
                                      "sigma", "sigma-inv"])
     p.add_argument("--in", dest="infile", metavar="FILE")
-    p.add_argument("--format", choices=FORMATS, default="pairs",
-                   help="output format for plain matchings (default pairs)")
+    p.add_argument("--format", choices=FORMATS,
+                   help="output format for plain matchings (default pairs); "
+                   "phi and tau-inv write a triple and take none")
 
     p = sub.add_parser("classify", help="report the statistics of a matching")
     p.add_argument("--in", dest="infile", metavar="FILE")
@@ -75,10 +77,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", metavar="FILE")
     p.add_argument("--format", choices=["text", "svg"], default="text")
     p.add_argument("--labels", action="store_true", help="draw edge labels")
-    p.add_argument("--width", type=int)
-    p.add_argument("--height", type=int)
+    p.add_argument("--width", type=int, help="SVG width (svg format only)")
+    p.add_argument("--height", type=int, help="SVG height (svg format only)")
 
     return parser
+
+
+def _check_options(parser: argparse.ArgumentParser, args) -> None:
+    """Refuse, as a usage error, an option the chosen command would ignore."""
+    if args.command == "map" and args.which in ("phi", "tau-inv") and args.format:
+        parser.error(f"map {args.which} writes a triple in pair-list format; "
+                     f"--format does not apply")
+    if args.command == "render" and args.format == "text":
+        for name in ("width", "height"):
+            if getattr(args, name) is not None:
+                parser.error(f"render --{name} applies to --format svg only")
 
 
 def _read_input(infile: Optional[str]) -> str:
@@ -157,7 +170,7 @@ def _cmd_map(args) -> int:
     if args.which in ("phi", "tau-inv"):
         sys.stdout.write(emit_ncn(image))
     else:
-        sys.stdout.write(emit_matching(image, args.format))
+        sys.stdout.write(emit_matching(image, args.format or "pairs"))
     return 0
 
 
@@ -176,20 +189,33 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+# Elements per write in ``enumerate``.
+_BLOCK = 256
+
+
 def _cmd_enumerate(args) -> int:
+    """Stream a family in blocks of ``_BLOCK`` elements: each element is
+    formatted with ``emit_matching``, and a block is joined and written with
+    one write, pair-list records separated by blank lines within and between
+    blocks. At most one block is held at once: 256 lines in partner or
+    dot-bracket format, 256 records of n + 1 lines in pair-list format. A cap
+    error or n < 1 surfaces on the first pull, before anything is written."""
     streams = {
         "all": all_matchings,
         "noncrossing": noncrossing_matchings,
         "lp": enumerate_lp,
         "ns": ns_stream,
     }
-    first = True
-    for m in streams[args.family](args.n):
-        if args.format == "pairs" and not first:
-            sys.stdout.write("\n")
-        sys.stdout.write(emit_matching(m, args.format))
-        first = False
-    return 0
+    stream = streams[args.family](args.n)
+    fmt = args.format
+    separator = "\n" if fmt == "pairs" else ""
+    lead = ""  # the separator before every block but the first
+    while True:
+        block = [emit_matching(m, fmt) for m in islice(stream, _BLOCK)]
+        if not block:
+            return 0
+        sys.stdout.write(lead + separator.join(block))
+        lead = separator
 
 
 def _cmd_verify(args) -> int:
@@ -226,6 +252,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_options(parser, args)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:

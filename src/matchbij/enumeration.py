@@ -16,7 +16,7 @@ import os
 from math import comb, inf, lgamma, log
 from typing import Iterator
 
-from .core import Matching, NCNTriple, _pair_by_stack, nep
+from .core import Matching, NCNTriple, _nested_pairs, _pair_by_stack
 
 __all__ = [
     "EnumerationCapError",
@@ -227,11 +227,13 @@ def ncn_elements(n: int):
     """Every noncrossing matching paired with each choice of nested pair.
 
     For each noncrossing matching M the stream yields (M, no pair) followed
-    by (M, p) for every nested pair p of M. Each base costs O(n^2), mostly
-    for its nested-pair list, and each triple O(1) after it: a triple is
-    checked against the noncrossing verdict and pair table kept on its base.
+    by (M, p) for every nested pair p of M, in ``nep`` order. The pairs are
+    walked lazily (``_nested_pairs``), so the stream holds O(n) at a time
+    and reaches its first items in O(n) memory at any size the cap admits.
+    Each base costs O(n) and each triple O(1) after it: a triple is checked
+    against the noncrossing verdict and pair table kept on its base.
     """
     for m in noncrossing_matchings(n):
         yield NCNTriple(m, None)
-        for p in nep(m):
+        for p in _nested_pairs(m):
             yield NCNTriple(m, p)

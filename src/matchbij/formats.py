@@ -231,8 +231,10 @@ def emit_pairs(m: Matching) -> str:
 
 
 def emit_partner(m: Matching) -> str:
-    """Serialize as a one-line partner array; O(n)."""
-    return " ".join(str(w) for w in m.partner) + "\n"
+    """Serialize as a one-line partner array; O(n), one ``%``-format of the
+    whole table rather than one ``str`` call per entry."""
+    p = m.partner
+    return ("%d " * len(p))[:-1] % p + "\n"
 
 
 def emit_dotbracket(m: Matching) -> DotBracketString:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from .core import (
     LRSequence,
     Matching,
+    _nested_pairs,
     lr_sequence,
     matching_from_lr,
-    nep,
     stats,
 )
 from .bijections import NotRepresentativeError, _swap_walk, tau_inv
@@ -79,12 +79,14 @@ def ns_stream(n: int):
     Walks each noncrossing matching's swap sequence; every step is one
     representative, and no representative repeats across the stream.
 
-    O(n^2) per noncrossing matching for its ``nep`` list, then O(n) per
-    yielded representative, which is the cost of building it.
+    The nested pairs of each base are walked lazily (``_nested_pairs``), so
+    the stream holds O(n) at a time and reaches its first items in O(n)
+    memory at any size the cap admits. O(n) per yielded representative,
+    which is the cost of building it, plus O(n) per noncrossing matching.
     """
     for m in noncrossing_matchings(n):
         yield m
-        for partner in _swap_walk(m, nep(m)):
+        for partner in _swap_walk(m, _nested_pairs(m)):
             yield Matching(n, tuple(partner))
 
 

@@ -8,7 +8,19 @@ from pathlib import Path
 import pytest
 
 from matchbij import enumeration
-from matchbij import catalan, double_factorial, emit_pairs, from_pairs, lp_count_formula
+from matchbij import (
+    FORMATS,
+    all_matchings,
+    catalan,
+    double_factorial,
+    emit_matching,
+    emit_pairs,
+    enumerate_lp,
+    from_pairs,
+    lp_count_formula,
+    noncrossing_matchings,
+    ns_stream,
+)
 from matchbij import cli as cli_module
 from matchbij.cli import run
 
@@ -161,6 +173,17 @@ class TestMap:
         code, out, _ = cli(["map", "sigma", "--format", "partner"], "2\n0 2\n1 3\n")
         assert code == 0 and out == "2 3 0 1\n"
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("which,stdin", [("phi", LP_PAIRS), ("tau-inv", REP_PAIRS)])
+    def test_format_on_a_triple_writer_is_a_usage_error(self, cli, which, stdin, fmt):
+        code, out, err = cli(["map", which, "--format", fmt], stdin)
+        assert (code, out) == (2, "")
+        assert f"error: map {which} writes a triple in pair-list format; --format" in err
+
+    def test_plain_matchings_default_to_pairs(self, cli):
+        assert cli(["map", "phi-inv"], NC_PAIRS + "nesting 2 5\n") == (0, LP_PAIRS, "")
+        assert cli(["map", "tau"], NC_PAIRS + "nesting 2 5\n") == (0, REP_PAIRS, "")
+
     def test_non_lp_input_is_domain_error(self, cli):
         code, out, err = cli(["map", "phi"], "3\n0 3\n1 4\n2 5\n")
         assert code == 1 and "not L & P" in err
@@ -220,6 +243,88 @@ class TestEnumerate:
         assert out == "(())\n()()\n"
 
 
+STREAMS = {"all": all_matchings, "noncrossing": noncrossing_matchings,
+           "lp": enumerate_lp, "ns": ns_stream}
+
+
+def reference_enumerate(family, n, fmt, write):
+    """The per-element writer that ``enumerate`` replaced by blocks: one write
+    per matching, with a blank line before every pair-list record but the
+    first."""
+    first = True
+    for m in STREAMS[family](n):
+        if fmt == "pairs" and not first:
+            write("\n")
+        write(emit_matching(m, fmt))
+        first = False
+
+
+class Recorder:
+    """Stands in for stdout and keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("block", [1, 2, 7, cli_module._BLOCK])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("family", STREAMS)
+    def test_same_output_as_the_per_element_writer(self, monkeypatch, family, fmt, block):
+        monkeypatch.setattr(cli_module, "_BLOCK", block)
+        for n in range(1, 6):
+            expected = []
+            reference_enumerate(family, n, fmt, expected.append)
+            sink = Recorder()
+            monkeypatch.setattr("sys.stdout", sink)
+            assert run(["enumerate", family, "--n", str(n), "--format", fmt]) == 0
+            assert "".join(sink.writes) == "".join(expected)
+            # One write per started block, and none for an empty last block.
+            elements = sum(1 for _ in STREAMS[family](n))
+            assert len(sink.writes) == -(-elements // block)
+
+    @pytest.mark.parametrize("family,n,block", [
+        ("all", 4, 7),  # 105 matchings
+        ("all", 4, 35),
+        ("noncrossing", 5, 2),  # 42 matchings
+        ("ns", 5, 2),  # 218 representatives
+    ])
+    def test_pair_records_at_block_edges(self, monkeypatch, family, n, block):
+        monkeypatch.setattr(cli_module, "_BLOCK", block)
+        sink = Recorder()
+        monkeypatch.setattr("sys.stdout", sink)
+        assert run(["enumerate", family, "--n", str(n), "--format", "pairs"]) == 0
+        elements = sum(1 for _ in STREAMS[family](n))
+        assert elements % block == 0 and len(sink.writes) == elements // block
+        # Each block holds whole records; a blank line opens every block but
+        # the first and separates the records inside each.
+        assert sink.writes[0].startswith(f"{n}\n")
+        for text in sink.writes[1:]:
+            assert text.startswith(f"\n{n}\n")
+        for text in sink.writes:
+            assert text.endswith("\n") and not text.endswith("\n\n")
+            assert text.count("\n\n") == block - 1
+
+    def test_writes_per_block_by_default(self, monkeypatch):
+        sink = Recorder()
+        monkeypatch.setattr("sys.stdout", sink)
+        assert run(["enumerate", "all", "--n", "6"]) == 0
+        assert sum(text.count("\n") for text in sink.writes) == 10395
+        assert len(sink.writes) <= -(-10395 // 256)
+
+    def test_broken_pipe_exits_zero(self, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert run(["enumerate", "ns", "--n", "4"]) == 0
+
+
 class TestVerify:
     def test_all_suites_pass(self, cli):
         code, out, err = cli(["verify", "--n", "3"])
@@ -266,6 +371,16 @@ class TestRender:
             code, out, err = cli(["render", "--format", "svg", *args], "2 3 0 1")
             assert (code, err) == (0, "")
             assert "inf" not in out and "nan" not in out
+
+    @pytest.mark.parametrize("args,flag", [
+        (["--width", "500", "--height", "9"], "--width"),
+        (["--height", "9"], "--height"),
+        (["--format", "text", "--width", "500"], "--width"),
+    ])
+    def test_svg_size_on_text_is_a_usage_error(self, cli, args, flag):
+        code, out, err = cli(["render", *args], LP_PAIRS)
+        assert (code, out) == (2, "")
+        assert f"error: render {flag} applies to --format svg only" in err
 
     def test_labels(self, cli):
         code, out, _ = cli(["render", "--labels"], "2\n0 2\n1 3\n")

@@ -176,6 +176,26 @@ class TestEmitters:
             DotBracketString("(()")
 
 
+def reference_emit_partner(m):
+    """The emitter ``emit_partner`` replaced: one ``str`` call per entry."""
+    return " ".join(map(str, m.partner)) + "\n"
+
+
+class TestPartnerAgainstReference:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_matching(self, n):
+        for m in all_matchings(n):
+            assert emit_partner(m) == reference_emit_partner(m)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(st.integers(min_value=1, max_value=500).flatmap(
+        lambda n: st.permutations(range(2 * n))))
+    def test_random_matchings(self, order):
+        m = from_pairs(zip(order[::2], order[1::2]), len(order) // 2)
+        assert emit_partner(m) == reference_emit_partner(m)
+
+
 class TestRoundTrips:
     @pytest.mark.parametrize("fmt", ["pairs", "partner", "dotbracket"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
