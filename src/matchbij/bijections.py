@@ -15,14 +15,21 @@ Three maps, all invertible:
 
 A left-endpoint swap moves only left endpoints: every right endpoint stays
 put and keeps its label, so the label of an edge is always the base's label
-for its right endpoint. ``tau``, ``tau_inv``, ``swap_sequence`` and the
-representative stream therefore walk the swaps on a plain partner table, at
-O(1) per swap, and read labels through the right endpoints when they need
-them. ``swap_left`` is the single-swap reference: it carries the labels
-explicitly in a ``LabeledMatching`` and revalidates it on every swap.
+for its right endpoint. ``swap_sequence`` and the representative stream
+therefore walk the swaps on a plain partner table, at O(1) per swap, and
+read labels through the right endpoints when they need them. ``tau`` and
+``tau_inv`` need only the last step, so they replay all of b's swaps at
+once as one rotation of the open arcs' left ends (``_replay``): O(n) memory
+and O(n) list operations plus O(n + swaps) element moves, with no
+nested-pair list built. ``swap_left`` is the single-swap reference: it
+carries the labels explicitly in a ``LabeledMatching`` and revalidates it
+on every swap.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import ge
 from typing import Iterable, Iterator, Optional
 
 from .core import Edge, LabeledMatching, Matching, NCNTriple, _scan, is_noncrossing, nc, nep, stats
@@ -118,11 +125,66 @@ def _swap_walk(base: Matching, pairs: Iterable[tuple[int, int]]) -> Iterator[lis
         yield partner
 
 
-def _apply_swaps(base: Matching, order: list[tuple[int, int]], count: int) -> Matching:
-    partner = base.partner
-    for partner in _swap_walk(base, order[:count]):
-        pass
-    return Matching(base.n, tuple(partner))
+def _replay(base: Matching, stop: tuple[int, int]) -> list[int]:
+    """The partner table reached from the noncrossing ``base`` by swapping
+    left endpoints along its nested-pair list up to and including ``stop``.
+
+    The pairs (a_1, b) ... (a_j, b) are b's open enclosers in opening order,
+    one after another in ``nep`` order. Swapping b with each in turn gives
+    b's left end v to a_1, what a_i held to a_(i+1), and what a_j held to b:
+    one rotation of the open arcs' left ends, ``lefts.insert(0, v)``; the
+    group cut at the stop is one slice assignment. A left end is final when
+    its arc closes, and past the stop nothing moves. Each group keeps
+    ``_swap_walk``'s refusal to invert an edge.
+
+    O(n) list operations plus O(n + swaps) element moves, O(n) memory.
+    """
+    a, b = stop
+    partner = list(base.partner)
+    lefts: list[int] = []  # the open arcs' current left ends, in opening order
+    rights: list[int] = []  # their right ends
+    label = 0
+    for v, w in enumerate(base.partner):
+        if w < v:
+            left = lefts.pop()
+            rights.pop()
+            partner[left] = v
+            partner[v] = left
+            continue
+        label += 1
+        if label == b:
+            break
+        if label == a:
+            s = len(lefts) + 1  # a's index among b's enclosers
+        lefts.insert(0, v)  # lefts[:j]: what b holds at each of its j swaps
+        if any(map(ge, lefts, rights)) or max(lefts) >= w:
+            _refuse_inversion(base, label, w, lefts, lefts[1:], rights)
+        rights.append(w)
+    shifted = [v, *lefts[:s - 1]]
+    if any(map(ge, shifted, rights)) or max(lefts[:s]) >= w:
+        _refuse_inversion(base, b, w, shifted, lefts, rights)
+    lefts.append(lefts[s - 1])
+    rights.append(w)
+    lefts[:s] = shifted
+    for left, right in zip(lefts, rights):
+        partner[left] = right
+        partner[right] = left
+    return partner
+
+
+def _refuse_inversion(base: Matching, b: int, w: int, held: list[int],
+                      lefts: list[int], rights: list[int]) -> None:
+    """Raise ``_swap_walk``'s error for the first of b's swaps that inverts an
+    edge: b (right end w) holds held[i] when it swaps with the open arc whose
+    left and right ends are lefts[i] and rights[i]."""
+    label_of = {right: k for k, (_, right) in enumerate(base._ends, 1)}
+    for lb, la, ra in zip(held, lefts, rights):
+        if lb >= ra or la >= w:
+            a = label_of[ra]
+            raise ValueError(
+                f"swapping left endpoints of {a} and {b} would invert edge "
+                f"{a if lb >= ra else b}"
+            )
 
 
 def swap_sequence(m: Matching) -> Iterator[SwapStep]:
@@ -207,13 +269,13 @@ def tau(t: NCNTriple) -> Matching:
     """Swap left endpoints along the nested-pair list of the base up to and
     including the chosen pair; no pair means no swaps.
 
-    O(n^2) for n edges: building the nested-pair list (``nep``) dominates,
-    and the at most n(n-1)/2 swaps cost O(1) each.
+    O(n) memory for n edges, and O(n) list operations plus O(n + swaps)
+    element moves: one ``_replay`` of the base, then the O(n) validation of
+    the image.
     """
     if t.pair is None:
         return t.base
-    order = nep(t.base)
-    return _apply_swaps(t.base, order, order.index(t.pair) + 1)
+    return Matching(t.base.n, tuple(_replay(t.base, t.pair)))
 
 
 def tau_inv(representative: Matching) -> NCNTriple:
@@ -221,35 +283,56 @@ def tau_inv(representative: Matching) -> NCNTriple:
 
     The base is the noncrossing projection; the swap count is the nesting
     deficit. The swaps are replayed to verify the claim, and a mismatch
-    rejects the input as not a representative.
+    rejects the input as not a representative, naming the first position
+    where the replay differs.
 
-    O(n^2) for n edges: the nesting counts and ``nep`` dominate, and the
-    replay costs O(1) per swap.
+    O(n) memory for n edges, and O(n) list operations plus O(n + swaps)
+    element moves, plus the scan behind ``stats`` of the representative:
+    the deficit-th nested pair is found from the per-label encloser counts
+    of the base, then one ``_replay`` reaches it.
     """
     base = nc(representative)
     if representative == base:
         return NCNTriple(base, None)
-    order = nep(base)
-    k = len(order)
+    depth = []  # by label - 1: the number of arcs enclosing it in the base
+    height = 0
+    for v, w in enumerate(base.partner):
+        if v < w:
+            depth.append(height)
+            height += 1
+        else:
+            height -= 1
+    # In a noncrossing base the nested pairs with second label b are b's
+    # enclosers, so counts[b - 1] is the number of pairs up to label b.
+    counts = list(accumulate(depth))
+    k = counts[-1]
     deficit = k - stats(representative).ne
     if not 1 <= deficit <= k:
         raise NotRepresentativeError(
             f"nesting count {k - deficit} is impossible for this LR word "
             f"(noncrossing maximum is {k})"
         )
-    replayed = _apply_swaps(base, order, deficit)
-    if replayed != representative:
+    b = bisect_left(counts, deficit) + 1
+    # The pair is b's encloser at depth d: the last label before b at depth d.
+    d = deficit - counts[b - 2] - 1
+    a = b - 1 - depth[b - 2::-1].index(d)
+    replayed = _replay(base, (a, b))
+    expected = representative.partner
+    if tuple(replayed) != expected:
+        v = next(v for v, (x, y) in enumerate(zip(replayed, expected)) if x != y)
         raise NotRepresentativeError(
             f"not a class representative: replaying {deficit} swaps from the "
-            f"noncrossing projection gives {replayed}, not {representative}"
+            f"noncrossing projection matches position {v} with {replayed[v]}, "
+            f"not {expected[v]}"
         )
-    return NCNTriple(base, order[deficit - 1])
+    return NCNTriple(base, (a, b))
 
 
 def sigma(m: Matching) -> Matching:
     """The composite bijection: L & P matching to class representative.
 
-    O(n^2) for n edges: ``phi`` and ``tau`` are O(n^2) each.
+    O(n) memory for n edges, and O(n) list operations plus O(n + swaps)
+    element moves for ``tau``, after ``phi``'s O(n log n) and its scan.
     """
     return tau(phi(m))
 
@@ -257,6 +340,8 @@ def sigma(m: Matching) -> Matching:
 def sigma_inv(representative: Matching) -> Matching:
     """Inverse of the composite bijection.
 
-    O(n^2) for n edges, dominated by ``tau_inv``.
+    O(n) memory for n edges, and O(n) list operations plus O(n + swaps)
+    element moves, plus the scan, as ``tau_inv``; then ``phi_inv``'s
+    O(n log n).
     """
     return phi_inv(tau_inv(representative))

@@ -82,7 +82,10 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 def parse_pairs(text: str) -> Matching:
     """Parse the pair-list format; O(L) for L characters of text."""
-    lines = _content_lines(text)
+    return _pairs(_content_lines(text))
+
+
+def _pairs(lines: list[tuple[int, str]]) -> Matching:
     if not lines:
         raise ParseError("empty input")
     lineno, head = lines[0]
@@ -124,7 +127,10 @@ def parse_pairs(text: str) -> Matching:
 
 def parse_partner(text: str) -> Matching:
     """Parse the one-line partner-array format; O(L) for L characters."""
-    lines = _content_lines(text)
+    return _partner(_content_lines(text))
+
+
+def _partner(lines: list[tuple[int, str]]) -> Matching:
     if not lines:
         raise ParseError("empty input")
     if len(lines) != 1:
@@ -170,7 +176,10 @@ def _decode_dotbracket(body: str, line: int) -> list[tuple[int, int]]:
 
 def parse_dotbracket(text: str) -> Matching:
     """Parse the dot-bracket format; O(L) for L characters."""
-    lines = _content_lines(text)
+    return _dotbracket(_content_lines(text))
+
+
+def _dotbracket(lines: list[tuple[int, str]]) -> Matching:
     if not lines:
         raise ParseError("empty input")
     if len(lines) != 1:
@@ -182,12 +191,15 @@ def parse_dotbracket(text: str) -> Matching:
 
 
 def parse_input(text: str) -> Matching:
-    """Parse a matching in whichever format it is written, trying partner-array,
-    then pair-list, then dot-bracket: up to three O(L) parses for L characters."""
+    """Parse a matching in whichever format it is written. The text is split
+    into content lines once, then partner-array, pair-list and dot-bracket
+    are tried in that order: up to three O(L) attempts for L characters."""
+    lines = _content_lines(text)
     failures = []
-    for name in ("partner", "pairs", "dotbracket"):
+    for name, parse in (("partner", _partner), ("pairs", _pairs),
+                        ("dotbracket", _dotbracket)):
         try:
-            return FORMATS[name][0](text)
+            return parse(lines)
         except ParseError as exc:
             failures.append(f"{name}: {exc}")
     raise ParseError("input matches no known format (" + "; ".join(failures) + ")")

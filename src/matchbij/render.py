@@ -13,6 +13,9 @@ from .core import Matching, edges
 
 __all__ = ["render", "render_text", "render_svg"]
 
+# Paints an arc's run: blanks become dashes, the legs it passes stay.
+_DASHES = bytes.maketrans(b" ", b"-")
+
 
 def _text_lines(m: Matching, labels: bool) -> Iterator[str]:
     """The rows of the text diagram, top row first, each ending in a newline.
@@ -45,7 +48,7 @@ def _text_lines(m: Matching, labels: bool) -> Iterator[str]:
     for arcs in reversed(at_height[1:]):
         row = legs[:]
         for _, l, r in arcs:
-            row[2 * l:2 * r + 1] = b"." + legs[2 * l + 1:2 * r].replace(b" ", b"-") + b"."
+            row[2 * l:2 * r + 1] = b"." + legs[2 * l + 1:2 * r].translate(_DASHES) + b"."
         if labels:
             for label, l, r in arcs:
                 text = str(label).encode()

@@ -121,6 +121,32 @@ class TestAutoDetect:
         with pytest.raises(ParseError, match="no known format"):
             parse_input("!!!")
 
+    @pytest.mark.parametrize("text", [
+        "3\n0 1\n2 3\n", "2\n0 2\n1 2\n", "1\nzero 1\n", "2\n0 1\n2 7\n",
+        "0 1\n2 3\n", "   \n# nothing\n", "1 0 2\n", "1 2 3 0\n", "1 0\n3 2\n",
+        "())(", "([)", "(.)", "!!!",
+    ])
+    def test_failure_joins_the_three_parsers_messages(self, text):
+        failures = []
+        for name, parse in (("partner", parse_partner), ("pairs", parse_pairs),
+                            ("dotbracket", parse_dotbracket)):
+            with pytest.raises(ParseError) as caught:
+                parse(text)
+            failures.append(f"{name}: {caught.value}")
+        with pytest.raises(ParseError) as caught:
+            parse_input(text)
+        assert str(caught.value) == (
+            "input matches no known format (" + "; ".join(failures) + ")")
+
+    def test_failure_message(self):
+        with pytest.raises(ParseError) as caught:
+            parse_input("1 2 3 0\n")
+        assert str(caught.value) == (
+            "input matches no known format (partner: line 1: partner table is "
+            "not an involution at position 0; pairs: line 1: expected a single "
+            "integer edge count; dotbracket: line 1, column 1: unexpected "
+            "character '1')")
+
 
 class TestNCNSerialization:
     def test_emit_with_pair(self, nc_example):

@@ -148,6 +148,13 @@ class TestAgainstGridReference:
         assert art.count("\n") == n + 1
         assert art == reference_render_text(m)
 
+    @pytest.mark.parametrize("labels", [False, True])
+    @pytest.mark.parametrize("m", [
+        ladder(300), from_pairs([(i, 300 + i) for i in range(300)], 300)],
+        ids=["ladder", "all-crossing"])
+    def test_long_runs_over_many_legs(self, m, labels):
+        assert render_text(m, labels) == reference_render_text(m, labels)
+
     def test_wide_last_label_runs_past_the_last_column(self):
         # Label 1000 sits on the last two positions and needs 4 columns.
         n = 1000

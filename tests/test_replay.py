@@ -1,0 +1,181 @@
+"""``tau`` and ``tau_inv`` replay the swaps one rotation per nested arc
+(``bijections._replay``). They are checked against the list-based maps they
+replaced, kept here as the reference: build the whole ``nep`` list, find the
+pair with ``order.index`` and walk it with ``_swap_walk``, one swap a step.
+Results, exception types and messages must agree.
+"""
+
+import random
+import tracemalloc
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from matchbij import (
+    Matching,
+    NCNTriple,
+    NotRepresentativeError,
+    all_matchings,
+    from_pairs,
+    lr_sequence,
+    matching_from_lr,
+    nc,
+    ncn_elements,
+    nep,
+    nestings,
+    noncrossing_matchings,
+    stats,
+    tau,
+    tau_inv,
+)
+from matchbij.bijections import _refuse_inversion, _swap_walk
+from test_swap_walk import dyck_words, ladder, with_random_pair
+
+
+def reference_replay(base, order, count):
+    partner = base.partner
+    for partner in _swap_walk(base, order[:count]):
+        pass
+    return Matching(base.n, tuple(partner))
+
+
+def reference_tau(t):
+    if t.pair is None:
+        return t.base
+    order = nep(t.base)
+    return reference_replay(t.base, order, order.index(t.pair) + 1)
+
+
+def reference_tau_inv(representative):
+    base = nc(representative)
+    if representative == base:
+        return NCNTriple(base, None)
+    order = nep(base)
+    k = len(order)
+    deficit = k - stats(representative).ne
+    if not 1 <= deficit <= k:
+        raise NotRepresentativeError(
+            f"nesting count {k - deficit} is impossible for this LR word "
+            f"(noncrossing maximum is {k})"
+        )
+    replayed = reference_replay(base, order, deficit).partner
+    expected = representative.partner
+    if replayed != expected:
+        v = next(v for v, (x, y) in enumerate(zip(replayed, expected)) if x != y)
+        raise NotRepresentativeError(
+            f"not a class representative: replaying {deficit} swaps from the "
+            f"noncrossing projection matches position {v} with {replayed[v]}, "
+            f"not {expected[v]}"
+        )
+    return NCNTriple(base, order[deficit - 1])
+
+
+def outcome(f, x):
+    try:
+        return "value", f(x)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def check_inverse(m):
+    assert outcome(tau_inv, m) == outcome(reference_tau_inv, m)
+
+
+def check_triple(t):
+    image = tau(t)
+    assert image == reference_tau(t)
+    assert tau_inv(image) == reference_tau_inv(image) == t
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_triple_and_representative(n):
+    for t in ncn_elements(n):
+        check_triple(t)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tau_inv_on_every_matching(n):
+    for m in all_matchings(n):
+        check_inverse(m)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(dyck_words(max_edges=300), st.data())
+def test_random_dyck_bases(word, data):
+    t = with_random_pair(data, matching_from_lr(word))
+    check_triple(t)
+    # Two arcs exchange right ends: mostly a rejected input.
+    image = list(tau(t).partner)
+    rights = [v for v, w in enumerate(image) if w < v]
+    if len(rights) > 1:
+        r, s = data.draw(st.lists(st.sampled_from(rights), min_size=2, max_size=2,
+                                  unique=True))
+        image[r], image[s] = image[s], image[r]
+        image[image[r]], image[image[s]] = r, s
+        check_inverse(Matching(t.base.n, tuple(image)))
+
+
+@pytest.mark.parametrize("n", [60, 100, 150])
+def test_benchmark_ladders(n):
+    check_triple(NCNTriple(ladder(n), (n - 1, n)))
+
+
+def nonnesting(word):
+    """The matching of ``word`` with no nesting: each right end takes the
+    earliest open left end."""
+    partner = [0] * len(word)
+    waiting = []
+    for v, c in enumerate(word):
+        if c == "L":
+            waiting.append(v)
+        else:
+            left = waiting.pop(0)
+            partner[left], partner[v] = v, left
+    return Matching(len(word) // 2, tuple(partner))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_last_pair_reaches_the_nonnesting_matching(n):
+    for base in noncrossing_matchings(n):
+        pairs = nestings(base)[1]
+        last = max(pairs, key=lambda p: (p[1], p[0])) if pairs else None
+        image = tau(NCNTriple(base, last))
+        assert image == nonnesting(str(lr_sequence(base)))
+        assert stats(image).ne == 0
+
+
+@pytest.mark.parametrize("f", [tau, tau_inv])
+def test_memory_on_the_1000_edge_ladder(f):
+    t = NCNTriple(ladder(1000), (999, 1000))  # the last of 499500 nested pairs
+    x = t if f is tau else tau(t)
+    tracemalloc.start()
+    try:
+        f(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_rejection_names_one_position():
+    order = list(range(4000))
+    random.Random(3).shuffle(order)
+    m = from_pairs(zip(order[::2], order[1::2]), 2000)
+    with pytest.raises(NotRepresentativeError) as caught:
+        tau_inv(m)
+    message = str(caught.value)
+    assert message.startswith("not a class representative: replaying ")
+    assert " swaps from the noncrossing projection " in message
+    assert len(message) < 200
+    assert outcome(reference_tau_inv, m) == (NotRepresentativeError, message)
+
+
+def test_inversion_message_matches_the_walk():
+    # Edge 1 ends at 1 and edge 2 opens at 2: swapping them inverts edge 1.
+    m = from_pairs([(0, 1), (2, 3)], 2)
+    with pytest.raises(ValueError) as walked:
+        list(_swap_walk(m, [(1, 2)]))
+    with pytest.raises(ValueError) as refused:
+        _refuse_inversion(m, 2, 3, [2], [0], [1])
+    assert str(refused.value) == str(walked.value)
