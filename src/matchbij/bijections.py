@@ -19,17 +19,16 @@ for its right endpoint. ``swap_sequence`` and the representative stream
 therefore walk the swaps on a plain partner table, at O(1) per swap, and
 read labels through the right endpoints when they need them. ``tau`` and
 ``tau_inv`` need only the last step, so they replay all of b's swaps at
-once as one rotation of the open arcs' left ends (``_replay``): O(n) memory
-and O(n) list operations plus O(n + swaps) element moves, with no
-nested-pair list built. ``swap_left`` is the single-swap reference: it
-carries the labels explicitly in a ``LabeledMatching`` and revalidates it
-on every swap.
+once as one rotation of the open arcs' left ends (``_replay``): O(n) time
+and memory, with no nested-pair list built. ``swap_left`` is the
+single-swap reference: it carries the labels explicitly in a
+``LabeledMatching`` and revalidates it on every swap.
 """
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import ge
 from typing import Iterable, Iterator, Optional
 
 from .core import Edge, LabeledMatching, Matching, NCNTriple, _scan, is_noncrossing, nc, nep, stats
@@ -132,16 +131,18 @@ def _replay(base: Matching, stop: tuple[int, int]) -> list[int]:
     The pairs (a_1, b) ... (a_j, b) are b's open enclosers in opening order,
     one after another in ``nep`` order. Swapping b with each in turn gives
     b's left end v to a_1, what a_i held to a_(i+1), and what a_j held to b:
-    one rotation of the open arcs' left ends, ``lefts.insert(0, v)``; the
-    group cut at the stop is one slice assignment. A left end is final when
-    its arc closes, and past the stop nothing moves. Each group keeps
-    ``_swap_walk``'s refusal to invert an edge.
+    one rotation of the open arcs' left ends, so they form a queue that an
+    opening arc enters at the front and a closing arc leaves at the back.
+    The group cut at the stop moves one left end. A left end is final when
+    its arc closes, and past the stop nothing moves. No swap can invert an
+    edge: every held left end is a position already passed, and every open
+    right end lies ahead.
 
-    O(n) list operations plus O(n + swaps) element moves, O(n) memory.
+    O(n) time and memory.
     """
     a, b = stop
     partner = list(base.partner)
-    lefts: list[int] = []  # the open arcs' current left ends, in opening order
+    lefts: deque[int] = deque()  # the open arcs' current left ends, in opening order
     rights: list[int] = []  # their right ends
     label = 0
     for v, w in enumerate(base.partner):
@@ -152,39 +153,19 @@ def _replay(base: Matching, stop: tuple[int, int]) -> list[int]:
             partner[v] = left
             continue
         label += 1
-        if label == b:
-            break
         if label == a:
             s = len(lefts) + 1  # a's index among b's enclosers
-        lefts.insert(0, v)  # lefts[:j]: what b holds at each of its j swaps
-        if any(map(ge, lefts, rights)) or max(lefts) >= w:
-            _refuse_inversion(base, label, w, lefts, lefts[1:], rights)
+        lefts.appendleft(v)
         rights.append(w)
-    shifted = [v, *lefts[:s - 1]]
-    if any(map(ge, shifted, rights)) or max(lefts[:s]) >= w:
-        _refuse_inversion(base, b, w, shifted, lefts, rights)
-    lefts.append(lefts[s - 1])
-    rights.append(w)
-    lefts[:s] = shifted
+        if label == b:
+            break
+    # lefts[s] is what a held: b takes it, and a_(s+1) ... a_j keep theirs.
+    lefts.append(lefts[s])
+    del lefts[s]
     for left, right in zip(lefts, rights):
         partner[left] = right
         partner[right] = left
     return partner
-
-
-def _refuse_inversion(base: Matching, b: int, w: int, held: list[int],
-                      lefts: list[int], rights: list[int]) -> None:
-    """Raise ``_swap_walk``'s error for the first of b's swaps that inverts an
-    edge: b (right end w) holds held[i] when it swaps with the open arc whose
-    left and right ends are lefts[i] and rights[i]."""
-    label_of = {right: k for k, (_, right) in enumerate(base._ends, 1)}
-    for lb, la, ra in zip(held, lefts, rights):
-        if lb >= ra or la >= w:
-            a = label_of[ra]
-            raise ValueError(
-                f"swapping left endpoints of {a} and {b} would invert edge "
-                f"{a if lb >= ra else b}"
-            )
 
 
 def swap_sequence(m: Matching) -> Iterator[SwapStep]:
@@ -269,9 +250,8 @@ def tau(t: NCNTriple) -> Matching:
     """Swap left endpoints along the nested-pair list of the base up to and
     including the chosen pair; no pair means no swaps.
 
-    O(n) memory for n edges, and O(n) list operations plus O(n + swaps)
-    element moves: one ``_replay`` of the base, then the O(n) validation of
-    the image.
+    O(n) time and memory for n edges: one ``_replay`` of the base, then the
+    validation of the image.
     """
     if t.pair is None:
         return t.base
@@ -286,10 +266,9 @@ def tau_inv(representative: Matching) -> NCNTriple:
     rejects the input as not a representative, naming the first position
     where the replay differs.
 
-    O(n) memory for n edges, and O(n) list operations plus O(n + swaps)
-    element moves, plus the scan behind ``stats`` of the representative:
-    the deficit-th nested pair is found from the per-label encloser counts
-    of the base, then one ``_replay`` reaches it.
+    O(n) time and memory for n edges, plus the scan behind ``stats`` of the
+    representative: the deficit-th nested pair is found from the per-label
+    encloser counts of the base, then one ``_replay`` reaches it.
     """
     base = nc(representative)
     if representative == base:
@@ -331,8 +310,8 @@ def tau_inv(representative: Matching) -> NCNTriple:
 def sigma(m: Matching) -> Matching:
     """The composite bijection: L & P matching to class representative.
 
-    O(n) memory for n edges, and O(n) list operations plus O(n + swaps)
-    element moves for ``tau``, after ``phi``'s O(n log n) and its scan.
+    ``tau``'s O(n) time and memory for n edges, after ``phi``'s O(n log n)
+    and its scan.
     """
     return tau(phi(m))
 
@@ -340,8 +319,7 @@ def sigma(m: Matching) -> Matching:
 def sigma_inv(representative: Matching) -> Matching:
     """Inverse of the composite bijection.
 
-    O(n) memory for n edges, and O(n) list operations plus O(n + swaps)
-    element moves, plus the scan, as ``tau_inv``; then ``phi_inv``'s
-    O(n log n).
+    O(n) time and memory for n edges, plus the scan behind ``stats``, as
+    ``tau_inv``; then ``phi_inv``'s O(n log n).
     """
     return phi_inv(tau_inv(representative))

@@ -97,8 +97,7 @@ def ns_representatives(n: int) -> set[Matching]:
 
 def is_representative(m: Matching) -> bool:
     """True iff ``m`` is a canonical class representative, at the cost of
-    ``tau_inv``: O(n) memory, and O(n) list operations plus O(n + swaps)
-    element moves, plus the scan behind ``stats``."""
+    ``tau_inv``: O(n) time and memory, plus the scan behind ``stats``."""
     try:
         tau_inv(m)
     except NotRepresentativeError:

@@ -22,13 +22,12 @@ from matchbij import (
     nc,
     ncn_elements,
     nep,
-    nestings,
     noncrossing_matchings,
     stats,
     tau,
     tau_inv,
 )
-from matchbij.bijections import _refuse_inversion, _swap_walk
+from matchbij.bijections import _swap_walk
 from test_swap_walk import dyck_words, ladder, with_random_pair
 
 
@@ -135,14 +134,46 @@ def nonnesting(word):
     return Matching(len(word) // 2, tuple(partner))
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_last_pair_reaches_the_nonnesting_matching(n):
-    for base in noncrossing_matchings(n):
-        pairs = nestings(base)[1]
-        last = max(pairs, key=lambda p: (p[1], p[0])) if pairs else None
-        image = tau(NCNTriple(base, last))
+def last_nested_pair(base):
+    """The last pair in nested-pair order (by second label, then first): the
+    last label opened inside another arc, with its innermost encloser."""
+    last, opened, label = None, [], 0
+    for v, w in enumerate(base.partner):
+        if v < w:
+            label += 1
+            if opened:
+                last = (opened[-1], label)
+            opened.append(label)
+        else:
+            opened.pop()
+    return last
+
+
+def random_dyck_word(n, seed):
+    """A uniform random Dyck word with n pairs, by the cycle lemma."""
+    steps = ["L"] * n + ["R"] * (n + 1)
+    random.Random(seed).shuffle(steps)
+    height = low = start = 0
+    for i, c in enumerate(steps, 1):
+        height += 1 if c == "L" else -1
+        if height < low:
+            low, start = height, i
+    return "".join(steps[start:] + steps[:start])[:-1]
+
+
+@pytest.mark.parametrize("bases", [
+    *(pytest.param(lambda n=n: noncrossing_matchings(n), id=str(n)) for n in range(1, 9)),
+    pytest.param(lambda: [ladder(3000)], id="ladder-3000"),
+    pytest.param(lambda: [matching_from_lr(random_dyck_word(10 ** 4, seed=1))],
+                 id="dyck-10000"),
+])
+def test_last_pair_reaches_the_nonnesting_matching(bases):
+    for base in bases():
+        t = NCNTriple(base, last_nested_pair(base))
+        image = tau(t)
         assert image == nonnesting(str(lr_sequence(base)))
         assert stats(image).ne == 0
+        assert tau_inv(image) == t
 
 
 @pytest.mark.parametrize("f", [tau, tau_inv])
@@ -169,13 +200,3 @@ def test_rejection_names_one_position():
     assert " swaps from the noncrossing projection " in message
     assert len(message) < 200
     assert outcome(reference_tau_inv, m) == (NotRepresentativeError, message)
-
-
-def test_inversion_message_matches_the_walk():
-    # Edge 1 ends at 1 and edge 2 opens at 2: swapping them inverts edge 1.
-    m = from_pairs([(0, 1), (2, 3)], 2)
-    with pytest.raises(ValueError) as walked:
-        list(_swap_walk(m, [(1, 2)]))
-    with pytest.raises(ValueError) as refused:
-        _refuse_inversion(m, 2, 3, [2], [0], [1])
-    assert str(refused.value) == str(walked.value)
