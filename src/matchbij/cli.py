@@ -8,6 +8,7 @@ not a representative, enumeration cap), 2 usage or input-parse errors.
 
 import argparse
 import sys
+from functools import cache
 from itertools import islice
 from math import exp, inf, lgamma, log, log1p
 from typing import Optional
@@ -81,6 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, help="SVG height (svg format only)")
 
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first ``run`` of the process and kept,
+    so that callers running many jobs in one interpreter build it once."""
+    return build_parser()
 
 
 def _check_options(parser: argparse.ArgumentParser, args) -> None:
@@ -249,7 +257,7 @@ _COMMANDS = {
 
 def run(argv: Optional[list[str]] = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         _check_options(parser, args)

@@ -16,6 +16,7 @@ chosen.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .core import InvalidMatchingError, Matching, NCNTriple, from_pairs
@@ -70,6 +71,18 @@ class DotBracketString:
         return self.text
 
 
+# The most characters of an input line that a message quotes.
+_QUOTE_LIMIT = 40
+
+
+def _quote(fragment: str) -> str:
+    """``repr`` of an input fragment, cut to ``_QUOTE_LIMIT`` characters plus
+    the full length, so that a message about a long line stays short."""
+    if len(fragment) <= _QUOTE_LIMIT:
+        return repr(fragment)
+    return f"{fragment[:_QUOTE_LIMIT]!r}... ({len(fragment)} characters)"
+
+
 def _content_lines(text: str) -> list[tuple[int, str]]:
     """Non-blank lines with comments stripped, tagged with 1-based numbers."""
     out = []
@@ -86,6 +99,10 @@ def parse_pairs(text: str) -> Matching:
 
 
 def _pairs(lines: list[tuple[int, str]]) -> Matching:
+    """The per-line pair-list walk over content lines: it names the line at
+    fault. O(L) time for L characters; with every line, its pair and a
+    position dict held at once, about 2.5 times the memory of
+    ``_read_pair_list``."""
     if not lines:
         raise ParseError("empty input")
     lineno, head = lines[0]
@@ -94,7 +111,7 @@ def _pairs(lines: list[tuple[int, str]]) -> Matching:
     try:
         n = int(head)
     except ValueError:
-        raise ParseError(f"invalid edge count {head!r}", line=lineno) from None
+        raise ParseError(f"invalid edge count {_quote(head)}", line=lineno) from None
     body = lines[1:]
     if len(body) != n:
         raise ParseError(f"expected {n} pair lines, found {len(body)}",
@@ -104,11 +121,11 @@ def _pairs(lines: list[tuple[int, str]]) -> Matching:
     for lineno, line in body:
         tokens = line.split()
         if len(tokens) != 2:
-            raise ParseError(f"expected two positions, got {line!r}", line=lineno)
+            raise ParseError(f"expected two positions, got {_quote(line)}", line=lineno)
         try:
             a, b = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise ParseError(f"non-integer position in {line!r}", line=lineno) from None
+            raise ParseError(f"non-integer position in {_quote(line)}", line=lineno) from None
         for v in (a, b):
             if not 0 <= v < 2 * n:
                 raise ParseError(f"position {v} out of range 0..{2 * n - 1}",
@@ -123,6 +140,59 @@ def _pairs(lines: list[tuple[int, str]]) -> Matching:
         return from_pairs(pairs, n)
     except InvalidMatchingError as exc:  # anything the scan above missed
         raise ParseError(str(exc)) from None
+
+
+# The characters of a plain text, checked in pieces of _PIECE characters:
+# a whole-text copy, once freed, left the per-line walk that may follow
+# with a larger peak RSS (6 MiB more at 10^6 edges).
+_PLAIN = b"0123456789 \t\n"
+_PIECE = 1 << 16
+
+
+def _is_plain(text: str) -> bool:
+    """Whether ``text`` holds only ASCII digits, spaces, tabs and "\n"; O(L)."""
+    return text.isascii() and not any(
+        text[i:i + _PIECE].encode().translate(None, _PLAIN)
+        for i in range(0, len(text), _PIECE))
+
+
+def _read_pair_list(text: str) -> Optional[Matching]:
+    """The matching of a plain text (``_is_plain``) that is a well-formed
+    pair list, or None.
+
+    The text is read when it is one count line n, then blank lines or lines
+    of two tokens, 2n + 1 tokens in all (one pass over its lines counts
+    their tokens): with one split and one ``int`` per token into a partner
+    table, whose ``Matching`` validation is the only check on the positions.
+    Any other text, and a pair list that does not encode a matching,
+    gives None, so that the per-line walk reads it and names the line at
+    fault; where this returns a matching, the walk returns the same one.
+    O(L) time for L characters; the tokens and the partner table are held
+    at once, about 100 bytes per token.
+    """
+    sizes = filter(None, map(len, map(str.split, text.split("\n"))))
+    if next(sizes, 0) != 1 or not set(sizes) <= {2}:
+        return None
+    tokens = text.split()
+    try:
+        n = int(tokens[0])
+    except ValueError:  # past the interpreter's int-digit limit
+        return None
+    if len(tokens) != 2 * n + 1:
+        return None
+    partner = [-1] * (2 * n)
+    ends = map(int, islice(tokens, 1, None))
+    try:
+        for a, b in zip(ends, ends):
+            partner[a] = b
+            partner[b] = a
+    except (ValueError, IndexError):  # past the digit limit, or past 2n - 1
+        return None
+    del tokens, ends
+    try:
+        return Matching(n, tuple(partner))
+    except InvalidMatchingError:  # n = 0, a repeated position or a self-pair
+        return None
 
 
 def parse_partner(text: str) -> Matching:
@@ -191,10 +261,23 @@ def _dotbracket(lines: list[tuple[int, str]]) -> Matching:
 
 
 def parse_input(text: str) -> Matching:
-    """Parse a matching in whichever format it is written. The text is split
-    into content lines once, then partner-array, pair-list and dot-bracket
-    are tried in that order: up to three O(L) attempts for L characters."""
-    lines = _content_lines(text)
+    """Parse a matching in whichever format it is written.
+
+    A plain pair list (see ``_read_pair_list``) is read from its tokens,
+    without the per-line walk. Any other text is split into content lines once, then
+    partner-array, pair-list and dot-bracket are tried in that order: up to
+    three O(L) attempts for L characters, and the failure names each
+    format's faulty line.
+    """
+    if _is_plain(text):
+        m = _read_pair_list(text)
+        if m is not None:
+            return m
+    return _read_lines(_content_lines(text))
+
+
+def _read_lines(lines: list[tuple[int, str]]) -> Matching:
+    """The per-line walk behind ``parse_input``, over its content lines."""
     failures = []
     for name, parse in (("partner", _partner), ("pairs", _pairs),
                         ("dotbracket", _dotbracket)):
@@ -206,29 +289,73 @@ def parse_input(text: str) -> Matching:
 
 
 def parse_ncn(text: str) -> NCNTriple:
-    """Parse a matching plus its one "nesting a b" line; O(L), as ``parse_input``."""
-    lines = text.splitlines()
+    """Parse a matching plus its one "nesting a b" line.
+
+    When the text is a plain pair list (see ``_read_pair_list``) plus one
+    "nesting" line, that line is found with ``str.find`` and cut out, and the
+    rest is read as ``parse_input`` reads a plain pair list. Anything else
+    goes through ``_read_ncn_lines``. O(L) time for L characters either way;
+    the cut holds one more copy of the text.
+    """
+    cut = _cut_nesting_line(text)
+    if cut is not None:
+        lineno, body, rest = cut
+        pair = _nesting_pair(lineno, body)
+        base = _read_pair_list(rest)
+        if base is not None:
+            return _triple(base, pair, lineno)
+    return _read_ncn_lines(text)
+
+
+def _cut_nesting_line(text: str) -> Optional[tuple[int, str, str]]:
+    """(line number, stripped body, the text without that line) when
+    ``text`` is plain (``_is_plain``) but for one "nesting" token at the
+    start of a line; None for anything else."""
+    at = text.find("nesting")
+    if at < 0:
+        return None
+    start = text.rfind("\n", 0, at) + 1
+    end = text.find("\n", at)
+    end = len(text) if end < 0 else end + 1
+    line, rest = text[start:end], text[:start] + text[end:]
+    if (line.split()[0] != "nesting" or not _is_plain(line.replace("nesting", "", 1))
+            or not _is_plain(rest)):
+        return None
+    return text.count("\n", 0, at) + 1, line.strip(), rest
+
+
+def _read_ncn_lines(text: str) -> NCNTriple:
+    """The per-line walk behind ``parse_ncn``: one content-line pass, from
+    which the nesting line is taken out and the rest read as ``_read_lines``
+    reads them, so every message keeps the text's own line numbers."""
+    lines = _content_lines(text)
     nesting_at = None
-    for lineno, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body and body.split()[0] == "nesting":
+    for i, (lineno, body) in enumerate(lines):
+        if body.split()[0] == "nesting":
             if nesting_at is not None:
                 raise ParseError(f'second "nesting" line (the first is line '
-                                 f'{nesting_at[0]})', line=lineno)
-            nesting_at = (lineno, body)
+                                 f'{lines[nesting_at][0]})', line=lineno)
+            nesting_at = i
     if nesting_at is None:
         raise ParseError('missing "nesting a b" line')
-    lineno, body = nesting_at
+    lineno, body = lines.pop(nesting_at)
+    pair = _nesting_pair(lineno, body)
+    return _triple(_read_lines(lines), pair, lineno)
+
+
+def _nesting_pair(lineno: int, body: str) -> Optional[tuple[int, int]]:
+    """The labels of a "nesting a b" line, None for the sentinel "0 0"."""
     tokens = body.split()
     if len(tokens) != 3:
-        raise ParseError(f'expected "nesting a b", got {body!r}', line=lineno)
+        raise ParseError(f'expected "nesting a b", got {_quote(body)}', line=lineno)
     try:
         a, b = int(tokens[1]), int(tokens[2])
     except ValueError:
-        raise ParseError(f"non-integer labels in {body!r}", line=lineno) from None
-    base_text = "\n".join(lines[:lineno - 1] + lines[lineno:])
-    base = parse_input(base_text)
-    pair = None if (a, b) == (0, 0) else (a, b)
+        raise ParseError(f"non-integer labels in {_quote(body)}", line=lineno) from None
+    return None if (a, b) == (0, 0) else (a, b)
+
+
+def _triple(base: Matching, pair: Optional[tuple[int, int]], lineno: int) -> NCNTriple:
     try:
         return NCNTriple(base, pair)
     except ValueError as exc:

@@ -22,7 +22,7 @@ from matchbij import (
     ns_stream,
 )
 from matchbij import cli as cli_module
-from matchbij.cli import run
+from matchbij.cli import build_parser, run
 
 LP_PAIRS = "7\n0 9\n1 6\n2 3\n4 13\n5 10\n7 8\n11 12\n"
 NC_PAIRS = "7\n0 13\n1 10\n2 3\n4 9\n5 6\n7 8\n11 12\n"
@@ -503,6 +503,53 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: n={argv[-1]} exceeds the enumeration cap")
         assert "MATCHBIJ_ENUM_CAP" in err and err.count("\n") == 1
+
+
+@pytest.fixture
+def fresh_parser():
+    """Empty ``run``'s parser cache before and after the test."""
+    cli_module._parser.cache_clear()
+    yield cli_module._parser.cache_clear
+    cli_module._parser.cache_clear()
+
+
+# A usage error, --help, a refused option, a bad input and good jobs.
+MIXED_JOBS = [
+    (["count", "lp", "--n", "x"], ""),
+    (["--help"], ""),
+    (["map", "--help"], ""),
+    (["map", "tau-inv", "--format", "partner"], REP_PAIRS),
+    (["classify"], "!!!\n"),
+    (["classify"], LP_PAIRS),
+    (["map", "tau"], NC_PAIRS + "nesting 2 5\n"),
+    (["frobnicate"], ""),
+    (["render", "--width", "3"], LP_PAIRS),
+    (["count", "lp", "--n", "5"], ""),
+]
+
+
+class TestParserReuse:
+    def test_built_once_across_runs(self, cli, monkeypatch, fresh_parser):
+        built = []
+
+        def counted_build_parser():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli_module, "build_parser", counted_build_parser)
+        for argv, stdin in MIXED_JOBS * 3:
+            cli(argv, stdin)
+        assert len(built) == 1
+
+    def test_same_output_as_fresh_parsers(self, cli, fresh_parser):
+        fresh = []
+        for argv, stdin in MIXED_JOBS:
+            fresh_parser()
+            fresh.append(cli(argv, stdin))
+        fresh_parser()
+        reused = [cli(argv, stdin) for argv, stdin in MIXED_JOBS * 2]
+        assert reused == fresh * 2
+        assert [code for code, _, _ in fresh] == [2, 0, 0, 2, 2, 0, 0, 2, 2, 0]
 
 
 @pytest.mark.parametrize("module", ["matchbij", "matchbij.cli"])

@@ -22,7 +22,17 @@ from matchbij import (
     parse_pairs,
     parse_partner,
 )
-from matchbij.formats import _CLOSE, _FAMILY_LIMIT, _OPEN
+from matchbij.formats import (
+    _CLOSE,
+    _FAMILY_LIMIT,
+    _OPEN,
+    _content_lines,
+    _cut_nesting_line,
+    _is_plain,
+    _read_lines,
+    _read_ncn_lines,
+    _read_pair_list,
+)
 
 
 class TestParsePairs:
@@ -173,6 +183,25 @@ class TestNCNSerialization:
             parse_ncn(text)
         assert str(info.value) == 'line 6: second "nesting" line (the first is line 5)'
 
+    @pytest.mark.parametrize("text,message", [
+        ("nesting 1 2\n2\n0 3\n1 x\n",
+         "input matches no known format (partner: line 3: partner-array input must "
+         "be a single line; pairs: line 4: non-integer position in '1 x'; "
+         "dotbracket: line 3: dot-bracket input must be a single line)"),
+        ("2\nnesting 1 2\n0 3\n1 x\n",
+         "input matches no known format (partner: line 3: partner-array input must "
+         "be a single line; pairs: line 4: non-integer position in '1 x'; "
+         "dotbracket: line 3: dot-bracket input must be a single line)"),
+        ("# triple\n2\nnesting 1 2\n\n0 3\n1 3\n",
+         "input matches no known format (partner: line 5: partner-array input must "
+         "be a single line; pairs: line 6: duplicate position 3 (first used on "
+         "line 5); dotbracket: line 5: dot-bracket input must be a single line)"),
+    ], ids=["nesting-first", "nesting-in-the-middle", "comment-and-blank"])
+    def test_base_errors_keep_the_text_line_numbers(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_ncn(text)
+        assert str(info.value) == message
+
     def test_roundtrip_all_small_triples(self):
         for t in ncn_elements(4):
             assert parse_ncn(emit_ncn(t)) == t
@@ -304,3 +333,167 @@ class TestDotBracketAgainstReference:
     def test_large_and_family_limit(self, pairs):
         m = from_pairs(pairs, len(pairs))
         assert emitted(emit_dotbracket, m) == emitted(reference_emit_dotbracket, m)
+
+
+# Every malformed text above, plus plain texts that the plain reader must
+# hand to the per-line walk: 1- and 3-token lines with the right token count,
+# repeated positions, self-pairs, positions past 2n - 1, counts of zero and
+# past the digit limit, a count with too few or too many pair lines, and
+# line breaks other than "\n" between the two positions of a line.
+MALFORMED = [
+    "3\n0 1\n2 3\n", "2\n0 2\n1 2\n", "1\nzero 1\n", "2\n0 1\n2 7\n",
+    "0 1\n2 3\n", "   \n# nothing\n", "1 0 2\n", "1 2 3 0\n", "1 0\n3 2\n",
+    "())(", "([)", "(.)", "!!!", "", "\n\n",
+    "2\n0 1\n2 3\nnesting 1 2\n", "2\n0 3\n1 2\n",
+    "# triple\n2\n0 3\n1 2\nnesting 1 2\nnesting 0 0\n",
+    "nesting 1 2\n2\n0 3\n1 x\n", "2\nnesting 1 2\n0 3\n1 x\n",
+    "2\n0 1 2\n3\n", "2\n0\n1 2 3\n", "2 0\n1\n3\n", "1\n0 0\n", "2\n0 1\n1 3\n",
+    "2\n0 1\n2 4\n", "0\n", "0\n\n", "2\n0 1\n", "1\n0 1\n2 3\n", "1\n\t0\t1\t\n\n",
+    "1\n0 1\n0 1\n", "2\n0 3\n1 2\n1 2\n", "1\n0\x0b1\n", "1\n0\x0c1\n", "1\n0\r1\n",
+    "1\n0\x1e1\n", "1\n0\x1f1\n", "1\n0\x851\n", "1\n0\u20281\n",
+    "9" * 5000 + "\n0 1\n", "1\n0 " + "1" * 5000 + "\n", "2\n" + "0 1 " * 1000 + "\n2 3\n",
+    "1\n0 1\nnesting 0\n", "1\n0 1\nnesting 0 x\n", "1\n0 1\nnesting 0 0 0\n",
+    "1\n0 1\n5nesting 0 0\n", "1\n0 1\nnesting0 0\n", "1\n0 1\nnesting 0 0\r\n",
+    "1\n0 1\n\x0bnesting 0 0\n", "1\n0 1\nnesting 0 0 # c\n", "1\n0 1\nnesting 1 2\n",
+    "1\n0 1 # c\nnesting 0 0\n", "1\nnesting 0 0\nnesting 0 0\n0 1\n",
+    "1\n0 1\nnesting " + "1 " * 1000 + "\n",
+]
+
+
+def walk_input(text):
+    return _read_lines(_content_lines(text))
+
+
+# Each public parser with a fast path, and the per-line walk it must agree with.
+WALKS = [(parse_input, walk_input), (parse_ncn, _read_ncn_lines)]
+
+
+def outcome(parse, text):
+    """What ``parse`` makes of ``text``: its value, or its exception's type
+    and message."""
+    try:
+        return parse(text)
+    except Exception as exc:  # compared, not hidden
+        return type(exc), str(exc)
+
+
+def assert_same_as_walk(text):
+    for parse, walk in WALKS:
+        assert outcome(parse, text) == outcome(walk, text), (parse.__name__, text[:200])
+
+
+class TestPlainReaderAgainstWalk:
+    @pytest.mark.parametrize("text", MALFORMED, ids=[repr(t)[1:-1][:30] for t in MALFORMED])
+    def test_malformed(self, text):
+        assert_same_as_walk(text)
+        assert_same_as_walk(text + "nesting 0 0\n")
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_matching_in_every_format(self, n):
+        for m in all_matchings(n):
+            for fmt in FORMATS:
+                text = emit_matching(m, fmt)
+                assert outcome(parse_input, text) == outcome(walk_input, text) == m
+                assert outcome(parse_ncn, text + "nesting 0 0\n") == outcome(
+                    _read_ncn_lines, text + "nesting 0 0\n")
+            assert _read_pair_list(emit_pairs(m)) == m  # read by the plain reader
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_triple(self, n):
+        for t in ncn_elements(n):
+            text = emit_ncn(t)
+            assert _cut_nesting_line(text) is not None
+            assert outcome(parse_ncn, text) == outcome(_read_ncn_lines, text) == t
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(st.data())
+    def test_mixed_texts(self, data):
+        text = data.draw(mixed_texts())
+        assert_same_as_walk(text)
+
+
+# Every character that ends a line for ``str.splitlines``, and spaces that
+# ``str.split`` and ``str.strip`` take but a plain text does not hold.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+SPACES = [" ", "\t", "  ", " \t", "\x1f", "\xa0", "\u3000"]
+# Ways to write a position other than plain ASCII digits.
+SPELLINGS = [lambda t: t, lambda t: t, lambda t: t, lambda t: "+" + t,
+             lambda t: t[:1] + "_" + t[1:] if len(t) > 1 else t,
+             lambda t: t.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+             lambda t: "0" + t]
+
+
+@st.composite
+def mixed_texts(draw):
+    """Pair lists near a matching's: about half plain, with each of the
+    faults and characters that must send a text to the per-line walk."""
+    def sometimes(odds=4):  # true once in ``odds`` draws
+        return draw(st.integers(0, odds - 1)) == 0
+
+    n = draw(st.integers(min_value=1, max_value=6))
+    values = list(draw(st.permutations(range(2 * n))))
+    if sometimes():
+        fault = draw(st.sampled_from(["duplicate", "self", "range"]))
+        i, j = draw(st.integers(0, 2 * n - 1)), draw(st.integers(0, 2 * n - 1))
+        values[i] = {"duplicate": values[j], "self": values[i ^ 1],
+                     "range": 2 * n + j}[fault]
+    count = n + (draw(st.sampled_from([-1, 1])) if sometimes(8) else 0)
+    tokens = [str(v) for v in values]
+    if sometimes(6):
+        i = draw(st.integers(0, len(tokens) - 1))
+        tokens[i] = draw(st.sampled_from(SPELLINGS))(tokens[i])
+    # Group the tokens into lines: two each, or sometimes one or three.
+    sizes = [2, 2, 1, 3] if sometimes() else [2]
+    rows, i = [], 0
+    while i < len(tokens):
+        size = draw(st.sampled_from(sizes))
+        rows.append(tokens[i:i + size])
+        i += size
+    spaces = SPACES + LINE_BREAKS if sometimes(6) else [" ", "\t", "  "]
+    breaks = LINE_BREAKS if sometimes(6) else ["\n"]
+    extras = ["", " ", "\t", "# note", "  # 1 2"] if sometimes() else ["", " ", "\t"]
+    lines = []
+    for row in [[str(count)]] + rows:
+        line = draw(st.sampled_from(spaces)).join(row)
+        if sometimes(10):
+            line = draw(st.sampled_from(spaces)) + line + draw(st.sampled_from(spaces))
+        if sometimes(20):
+            line += " # comment"
+        lines.append(line)
+        if sometimes(8):
+            lines.append(draw(st.sampled_from(extras)))
+    if sometimes(3):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["nesting 0 0", "nesting 1 2", " nesting 1 2 "])))
+    text = "".join(line + draw(st.sampled_from(breaks)) for line in lines)
+    return text[:-1] if sometimes(5) else text  # sometimes no final line break
+
+
+class TestLongLinesInMessages:
+    @pytest.mark.parametrize("parse,text", [
+        (parse_input, "2\n" + "0 1 " * 250000 + "\n2 3\n"),
+        (parse_input, "9" * 5000 + "\n0 1\n"),
+        (parse_ncn, "1\n0 1\nnesting " + "1 " * 100000 + "\n"),
+        (parse_ncn, "1\n0 1\nnesting 1 " + "x" * 100000 + "\n"),
+    ], ids=["pair-line", "count-line", "nesting-line", "nesting-labels"])
+    def test_quotes_are_cut(self, parse, text):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        message = str(info.value)
+        assert len(message) < 300 and "characters)" in message
+
+    def test_short_lines_are_quoted_whole(self):
+        with pytest.raises(ParseError, match=r"got '0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15'$"):
+            parse_pairs("2\n0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15\n2 3\n")
+
+
+class TestIsPlain:
+    @pytest.mark.parametrize("text,plain", [
+        ("", True), ("2\n0 1\t2 3\n", True), ("1\r\n0 1", False), ("#", False),
+        ("1\n0\xa01", False), ("١", False), ("+1", False), ("1_0", False),
+        ("0 1" * 40000 + "x", False), ("0 1" * 40000, True),
+    ])
+    def test_characters(self, text, plain):
+        assert _is_plain(text) is plain
