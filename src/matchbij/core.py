@@ -41,6 +41,20 @@ class InvalidMatchingError(ValueError):
     """Raised when a pairing does not describe a complete matching."""
 
 
+# The most characters of an input line, or digits of a number, that a
+# message quotes.
+_QUOTE_LIMIT = 40
+
+
+def _digits(v: int) -> str:
+    """``str(v)`` for a message, cut to ``_QUOTE_LIMIT`` digits plus the full
+    count, so that a message about a huge input number stays short."""
+    sign, digits = ("-", str(-v)) if v < 0 else ("", str(v))
+    if len(digits) <= _QUOTE_LIMIT:
+        return sign + digits
+    return f"{sign}{digits[:_QUOTE_LIMIT]}... ({len(digits)} digits)"
+
+
 @dataclass(frozen=True)
 class Matching:
     """A complete matching on 2n points, stored as a partner table.
@@ -58,7 +72,7 @@ class Matching:
 
     def __post_init__(self):
         if self.n < 1:
-            raise InvalidMatchingError(f"edge count must be positive, got {self.n}")
+            raise InvalidMatchingError(f"edge count must be positive, got {_digits(self.n)}")
         size = 2 * self.n
         if len(self.partner) != size:
             raise InvalidMatchingError(
@@ -68,7 +82,7 @@ class Matching:
         for v, w in enumerate(p):
             if not 0 <= w < size:
                 raise InvalidMatchingError(
-                    f"position {w} out of range 0..{size - 1}"
+                    f"position {_digits(w)} out of range 0..{size - 1}"
                 )
             if w == v:
                 raise InvalidMatchingError(f"position {v} is matched to itself")
@@ -79,7 +93,7 @@ class Matching:
 
     def pairs(self) -> list[tuple[int, int]]:
         """Endpoint pairs (left, right), listed in increasing left order."""
-        return [(v, self.partner[v]) for v in range(2 * self.n) if v < self.partner[v]]
+        return [(v, w) for v, w in enumerate(self.partner) if v < w]
 
     def __repr__(self):
         body = ",".join(f"({l},{r})" for l, r in self.pairs())
@@ -219,7 +233,7 @@ class NCNTriple:
             a, b = self.pair
             if not 1 <= a < b <= self.base.n:
                 raise ValueError(
-                    f"pair {self.pair} is not an increasing pair of edge labels"
+                    f"pair ({_digits(a)}, {_digits(b)}) is not an increasing pair of edge labels"
                 )
             (la, ra), (lb, rb) = self.base._ends[a - 1], self.base._ends[b - 1]
             if not (la < lb and rb < ra):
@@ -227,27 +241,26 @@ class NCNTriple:
 
 
 def from_pairs(pairs: Iterable[tuple[int, int]], n: int) -> Matching:
-    """Build a matching from n endpoint pairs covering {0, ..., 2n-1}; O(n).
+    """Build a matching from n endpoint pairs covering {0, ..., 2n-1}.
 
     Rejects duplicate positions, out-of-range positions, and a wrong number
-    of pairs, naming the offending value in each case.
+    of pairs, naming the offending value in each case. A duplicate is found
+    in the partner table as it is filled, so the cost is O(n) time and the
+    one table of 2n entries, plus the ``Matching`` validation, O(n).
     """
     pair_list = list(pairs)
     if len(pair_list) != n:
-        raise InvalidMatchingError(f"expected {n} pairs, got {len(pair_list)}")
+        raise InvalidMatchingError(f"expected {_digits(n)} pairs, got {len(pair_list)}")
     partner = [-1] * (2 * n)
-    seen: set[int] = set()
     for a, b in pair_list:
-        for v in (a, b):
+        for v, w in ((a, b), (b, a)):
             if not 0 <= v < 2 * n:
                 raise InvalidMatchingError(
-                    f"position {v} out of range 0..{2 * n - 1}"
+                    f"position {_digits(v)} out of range 0..{2 * n - 1}"
                 )
-            if v in seen:
+            if partner[v] >= 0:
                 raise InvalidMatchingError(f"duplicate position {v}")
-            seen.add(v)
-        partner[a] = b
-        partner[b] = a
+            partner[v] = w
     return Matching(n, tuple(partner))
 
 
@@ -293,7 +306,7 @@ def nc(m: Matching) -> Matching:
     Computed by matching each right endpoint to the most recent unmatched
     left endpoint (stack discipline), O(n).
     """
-    partner = _pair_by_stack([v < m.partner[v] for v in range(2 * m.n)])
+    partner = _pair_by_stack([v < w for v, w in enumerate(m.partner)])
     return Matching(m.n, partner)
 
 
@@ -348,10 +361,12 @@ def stats(m: Matching) -> MatchingStats:
 
 
 def _classified_pairs(m: Matching, kind: str) -> list[tuple[int, int]]:
-    es = edges(m)
+    # Every pair of labels a < b, from the pair table: the quadratic path
+    # that does not share the scan behind ``stats``.
+    pairs = m.pairs()
     out = []
-    for i, (a, _, ra) in enumerate(es):
-        for b, lb, rb in es[i + 1:]:
+    for a, (_, ra) in enumerate(pairs, 1):
+        for b, (lb, rb) in enumerate(pairs[a:], a + 1):
             if ("alignment" if lb > ra else "nested" if rb < ra else "crossing") == kind:
                 out.append((a, b))
     return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
-from .core import InvalidMatchingError, Matching, NCNTriple, from_pairs
+from .core import _QUOTE_LIMIT, InvalidMatchingError, Matching, NCNTriple, _digits, from_pairs
 
 __all__ = [
     "ParseError",
@@ -71,10 +71,6 @@ class DotBracketString:
         return self.text
 
 
-# The most characters of an input line that a message quotes.
-_QUOTE_LIMIT = 40
-
-
 def _quote(fragment: str) -> str:
     """``repr`` of an input fragment, cut to ``_QUOTE_LIMIT`` characters plus
     the full length, so that a message about a long line stays short."""
@@ -114,7 +110,7 @@ def _pairs(lines: list[tuple[int, str]]) -> Matching:
         raise ParseError(f"invalid edge count {_quote(head)}", line=lineno) from None
     body = lines[1:]
     if len(body) != n:
-        raise ParseError(f"expected {n} pair lines, found {len(body)}",
+        raise ParseError(f"expected {_digits(n)} pair lines, found {len(body)}",
                          line=lineno)
     pairs = []
     seen: dict[int, int] = {}
@@ -128,7 +124,7 @@ def _pairs(lines: list[tuple[int, str]]) -> Matching:
             raise ParseError(f"non-integer position in {_quote(line)}", line=lineno) from None
         for v in (a, b):
             if not 0 <= v < 2 * n:
-                raise ParseError(f"position {v} out of range 0..{2 * n - 1}",
+                raise ParseError(f"position {_digits(v)} out of range 0..{2 * n - 1}",
                                  line=lineno)
             if v in seen:
                 raise ParseError(

@@ -6,16 +6,18 @@ statistics, the L & P family, the bijections, and the similarity census.
 A family that several checks read is built once per run, on first use (see
 ``_Families``), and most checks are a per-element fault test folded over a
 family by ``_each``. A run of every suite walks the full stream of (2n-1)!!
-matchings five times: the core walk, the L & P filter, the mirror check,
-the census and the stream count.
+matchings twice, in the shared walk and in the mirror check, and the census
+walks it once more through ``enumeration._walk``. The shared walk scans each
+matching once and tests each distinct projection once.
 """
 
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 from .core import (
     Matching,
     NCNTriple,
+    _scan,
     alignments,
     crossings,
     edges,
@@ -29,7 +31,7 @@ from .core import (
     rperm,
     stats,
 )
-from .lp import find_inflated_hairpin, is_lp, lp_count_formula
+from .lp import _hairpin, find_inflated_hairpin, lp_count_formula
 from .bijections import phi, phi_inv, sigma, sigma_inv, swap_sequence, tau, tau_inv
 from .similarity import ClassKey, census, class_key, ns_representatives
 from .enumeration import all_matchings, catalan, double_factorial, ncn_elements, noncrossing_matchings
@@ -62,54 +64,77 @@ def _each(items: Iterable, what: str, fault: Callable[..., str | bool]) -> Verdi
 
 
 class _Families:
-    """The families that the checks of one verify run share, built lazily:
-    ``core`` walks all matchings once for five core checks, ``lp`` serves the
-    L & P, phi and sigma checks, ``noncrossing`` the rperm, swap and coverage
-    checks, ``ncn`` the phi_inv and tau round trips, and ``census`` and
-    ``representatives`` the similarity checks and the sigma image."""
+    """The families that the checks of one verify run share, built lazily
+    and only for the suites the run reads.
 
-    def __init__(self, n: int):
+    ``_walk`` goes through all matchings once for three readers: the walked
+    core checks (``core``, for the core suite), the brute L & P filter
+    (``lp``, for the lp and bijections suites) and the stream length
+    (``count``). It scans each matching once (``core._scan``), and the scan
+    serves both the pair counts and the L & P test; it tests each distinct
+    projection once. ``sigma_images`` serves the three sigma checks,
+    ``noncrossing`` the rperm, swap and coverage checks, ``ncn`` the
+    phi_inv and tau round trips, and ``census`` and ``representatives`` the
+    similarity checks and the sigma image."""
+
+    def __init__(self, n: int, suites: Collection[str]):
         self.n = n
+        self.suites = suites
 
     @cached_property
-    def core(self) -> dict[str, Verdict]:
-        # Each walked check keeps its own first failure and its own path.
+    def _walk(self) -> tuple[dict[str, Verdict], list[Matching], int]:
+        want_core = "core" in self.suites
+        want_lp = "lp" in self.suites or "bijections" in self.suites
         total = self.n * (self.n - 1) // 2
+        # Each walked check keeps its own first failure and its own path.
         first: dict[str, str] = {}
         best: dict[str, int] = {}
+        # Per distinct projection p: the LR word of p and whether nc moves p.
+        projected: dict[Matching, tuple[str, bool]] = {}
+        lp: list[Matching] = []
         count = 0
         for m in all_matchings(self.n):
-            st, p, word = stats(m), nc(m), lr_sequence(m)
-            faults = {
-                "pair-partition":
-                    st.ne + st.cr + alignments(m)[0] != total and f"partition fails on {m}",
-                "lr-preserved-by-projection":
-                    lr_sequence(p) != word and f"projection changes LR word on {m}",
-                "projection-idempotent":
-                    (nc(p) != p and f"projection not idempotent on {m}")
-                    or ((p == m) != is_noncrossing(m) and f"fixed-point mismatch on {m}"),
-                "edge-list-roundtrip":
-                    from_pairs([(e.left, e.right) for e in edges(m)], m.n) != m
-                    and f"edge-list round trip fails on {m}",
-            }
-            for check, message in faults.items():
-                if message:
-                    first.setdefault(check, message)
-            if best.get(word.word, -1) < st.ne:
-                best[word.word] = st.ne
             count += 1
-        # faults names every walked check: all_matchings raises for n < 1.
+            if not (want_core or want_lp):
+                continue
+            scanned = _scan(m.partner)
+            if want_lp and _hairpin(m, scanned) is not None:
+                lp.append(m)
+            if not want_core:
+                continue
+            ne, cr = scanned[:2]
+            p, word = nc(m), lr_sequence(m).word
+            if (seen := projected.get(p)) is None:
+                seen = projected[p] = lr_sequence(p).word, nc(p) != p
+            if ne + cr + alignments(m)[0] != total:
+                first.setdefault("pair-partition", f"partition fails on {m}")
+            if seen[0] != word:
+                first.setdefault("lr-preserved-by-projection",
+                                 f"projection changes LR word on {m}")
+            if seen[1]:
+                first.setdefault("projection-idempotent", f"projection not idempotent on {m}")
+            elif (p == m) != is_noncrossing(m):
+                first.setdefault("projection-idempotent", f"fixed-point mismatch on {m}")
+            if from_pairs([(e.left, e.right) for e in edges(m)], m.n) != m:
+                first.setdefault("edge-list-roundtrip", f"edge-list round trip fails on {m}")
+            if best.get(word, -1) < ne:
+                best[word] = ne
         verdicts = {check: (False, first[check]) if check in first else _ok(count, "matchings")
-                    for check in faults}
+                    for check in ("pair-partition", "lr-preserved-by-projection",
+                                  "projection-idempotent", "edge-list-roundtrip")}
         verdicts["projection-maximizes-nestings"] = _each(
             best.items(), "LR words", lambda item: stats(matching_from_lr(item[0])).ne != item[1]
             and f"projection does not maximize nestings for {item[0]}")
-        return verdicts
+        return verdicts, lp, count
+
+    core = property(lambda self: self._walk[0])
+    # The brute filter: the oracle for the census and every phi and sigma check.
+    lp = property(lambda self: self._walk[1])
+    count = property(lambda self: self._walk[2])
 
     @cached_property
-    def lp(self) -> list[Matching]:
-        # The brute filter: the oracle for the census and every phi and sigma check.
-        return [m for m in all_matchings(self.n) if is_lp(m)]
+    def sigma_images(self) -> list[Matching]:
+        return [sigma(m) for m in self.lp]
 
     @cached_property
     def census(self) -> tuple[int, dict[ClassKey, int]]:
@@ -172,8 +197,8 @@ def _crossing_product_fault(m: Matching) -> str | bool:
     return crossings(m)[0] != len(d.a_side) * len(d.b_side) and f"crossing count != |A|*|B| on {m}"
 
 
-def _sigma_lr_fault(m: Matching) -> str | bool:
-    image = sigma(m)
+def _sigma_lr_fault(item: tuple[Matching, Matching]) -> str | bool:
+    m, image = item
     if lr_sequence(image) != lr_sequence(m):
         return f"sigma changes the LR word of {m}"
     return is_noncrossing(m) and image != m and f"sigma moves the noncrossing matching {m}"
@@ -205,7 +230,7 @@ def _swap_adjacency_fault(m: Matching) -> str | bool:
 
 
 def _check_sigma_image(fam: _Families) -> Verdict:
-    images = [sigma(m) for m in fam.lp]
+    images = fam.sigma_images
     if len(set(images)) != len(images):
         return False, "sigma images collide"
     if set(images) != fam.representatives:
@@ -246,7 +271,7 @@ def _check_coverage(fam: _Families) -> Verdict:
 
 
 def _check_stream_counts(fam: _Families) -> Verdict:
-    total = sum(1 for _ in all_matchings(fam.n))
+    total = fam.count
     if total != double_factorial(2 * fam.n - 1):
         return False, f"full stream yields {total}"
     nc_total = len(fam.noncrossing)
@@ -288,9 +313,11 @@ SUITES: dict[str, list[tuple[str, Callable[[_Families], Verdict]]]] = {
             fam.ncn, "triples",
             lambda t: tau_inv(tau(t)) != t and f"tau round trip fails on {t}")),
         ("sigma-roundtrip", lambda fam: _each(
-            fam.lp, "L & P matchings",
-            lambda m: sigma_inv(sigma(m)) != m and f"sigma round trip fails on {m}")),
-        ("sigma-preserves-lr", lambda fam: _each(fam.lp, "L & P matchings", _sigma_lr_fault)),
+            zip(fam.lp, fam.sigma_images), "L & P matchings",
+            lambda item: sigma_inv(item[1]) != item[0]
+            and f"sigma round trip fails on {item[0]}")),
+        ("sigma-preserves-lr", lambda fam: _each(
+            zip(fam.lp, fam.sigma_images), "L & P matchings", _sigma_lr_fault)),
         ("swap-trace-nesting-counts",
          lambda fam: _each(fam.noncrossing, "noncrossing matchings", _swap_nestings_fault)),
         ("swap-pair-adjacency",
@@ -317,7 +344,7 @@ def run_suite(n: int, suite: str = "all") -> list[CheckResult]:
     else:
         raise ValueError(
             f"unknown suite {suite!r}; expected one of {', '.join(SUITES)} or all")
-    families = _Families(n)
+    families = _Families(n, names)
     results = []
     for name in names:
         for check_name, fn in SUITES[name]:

@@ -457,6 +457,19 @@ class TestExitCodes:
         monkeypatch.setattr("sys.stdout", ClosedPipe())
         assert run(["count", "lp", "--n", "3"]) == 0
 
+    @pytest.mark.parametrize("command,stdin", [
+        ("classify", "1\n0 " + "9" * 4000 + "\n"),  # a pair-list position
+        ("classify", "9" * 4000 + "\n0 1\n"),  # the edge count
+        ("classify", "-" + "9" * 4000 + "\n0 1\n"),
+        ("classify", "9" * 4000 + " 0\n"),  # a partner-array entry
+        ("tau", "2\n0 3\n1 2\nnesting " + "9" * 4000 + " 2\n"),  # a nesting label
+    ], ids=["position", "count", "negative-count", "partner", "label"])
+    def test_huge_numbers_are_cut_in_messages(self, cli, command, stdin):
+        code, out, err = cli(["map", command] if command == "tau" else [command], stdin)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 300
+        assert "... (4000 digits)" in err
+
     def test_env_cap_override(self, cli, monkeypatch):
         monkeypatch.setenv("MATCHBIJ_ENUM_CAP", "3")
         code, _, err = cli(["count", "matchings", "--n", "4", "--brute"])

@@ -484,6 +484,17 @@ class TestLongLinesInMessages:
         message = str(info.value)
         assert len(message) < 300 and "characters)" in message
 
+    @pytest.mark.parametrize("text,message", [
+        ("1\n0 " + "7" * 40 + "\n", "position " + "7" * 40 + " out of range 0..1"),
+        ("1\n0 " + "7" * 41 + "\n", "position " + "7" * 40 + "... (41 digits) out of range 0..1"),
+        ("-" + "7" * 40 + "\n0 1\n", "expected -" + "7" * 40 + " pair lines, found 1"),
+        ("3\n0 1\n", "expected 3 pair lines, found 1"),
+    ])
+    def test_numbers_are_cut_past_forty_digits(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_pairs(text)
+        assert str(info.value).endswith(message)
+
     def test_short_lines_are_quoted_whole(self):
         with pytest.raises(ParseError, match=r"got '0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15'$"):
             parse_pairs("2\n0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15\n2 3\n")

@@ -119,17 +119,43 @@ def _count_calls(monkeypatch, name, calls):
 
 
 def test_one_run_builds_each_family_once(monkeypatch):
-    calls = {"is_lp": 0, "census": 0, "ns_representatives": 0}
+    calls = {"_hairpin": 0, "census": 0, "ns_representatives": 0, "sigma": 0}
     for name in calls:
         _count_calls(monkeypatch, name, calls)
     results = run_suite(4, "all")
     assert all(ok for _, ok, _ in results)
-    assert calls == {"is_lp": 105, "census": 1, "ns_representatives": 1}
+    # _hairpin is the L & P test of the shared walk, once per matching.
+    assert calls == {"_hairpin": 105, "census": 1, "ns_representatives": 1, "sigma": 51}
+
+
+@pytest.mark.parametrize("suite,expected", [
+    ("core", {"all_matchings": 1, "_scan": 105, "noncrossing_matchings": 1}),
+    ("lp", {"all_matchings": 2, "_scan": 105, "_hairpin": 105}),
+    ("bijections", {"all_matchings": 1, "_scan": 105, "_hairpin": 105, "sigma": 51,
+                    "ns_representatives": 1, "noncrossing_matchings": 1, "ncn_elements": 1}),
+    ("similarity", {"census": 1, "ns_representatives": 1, "noncrossing_matchings": 1}),
+    ("enumeration", {"all_matchings": 1, "noncrossing_matchings": 1, "ncn_elements": 1}),
+])
+def test_each_suite_builds_only_what_it_reads(monkeypatch, suite, expected):
+    calls = dict.fromkeys(["all_matchings", "_scan", "_hairpin", "sigma", "census",
+                           "ns_representatives", "noncrossing_matchings", "ncn_elements"], 0)
+    for name in calls:
+        _count_calls(monkeypatch, name, calls)
+    assert all(ok for _, ok, _ in run_suite(4, suite))
+    # Core makes no L & P test; enumeration counts the stream without a scan.
+    assert calls == {**dict.fromkeys(calls, 0), **expected}
 
 
 def test_core_suite_builds_no_lp_list(monkeypatch):
-    monkeypatch.setattr(verify, "is_lp", None)  # calling it would raise
+    monkeypatch.setattr(verify, "_hairpin", None)  # calling it would raise
     assert all(ok for _, ok, _ in run_suite(4, "core"))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_walked_lp_list_is_the_brute_filter(n):
+    brute = [m for m in all_matchings(n) if is_lp(m)]
+    for suites in (["lp"], ["bijections"], list(SUITES)):
+        assert verify._Families(n, suites).lp == brute
 
 
 def test_core_checks_share_one_walk_of_all_matchings(monkeypatch):
@@ -139,8 +165,8 @@ def test_core_checks_share_one_walk_of_all_matchings(monkeypatch):
     assert calls["all_matchings"] == 1
     calls["all_matchings"] = 0
     assert all(ok for _, ok, _ in run_suite(4, "all"))
-    # The core walk, the L & P filter, the mirror check and the stream count.
-    assert calls["all_matchings"] == 4
+    # The shared walk (core checks, L & P filter, stream count) and the mirror check.
+    assert calls["all_matchings"] == 2
 
 
 def test_each_walked_check_keeps_its_own_first_failure(monkeypatch):
@@ -156,3 +182,20 @@ def test_each_walked_check_keeps_its_own_first_failure(monkeypatch):
         False, f"projection not idempotent on {target}")
     for check in ("pair-partition", "edge-list-roundtrip"):
         assert results[f"core/{check}"] == (True, "checked 105 matchings")
+
+
+def test_projection_fault_names_the_first_matching_projecting_there(monkeypatch):
+    real = verify.nc
+    p = from_pairs([(0, 7), (1, 4), (2, 3), (5, 6)], 4)
+    # A crossing matching with the same LR word, so only idempotence breaks.
+    wrong = from_pairs([(0, 4), (1, 7), (2, 3), (5, 6)], 4)
+    assert lr_sequence(wrong) == lr_sequence(p) and not is_noncrossing(wrong)
+    first = next(m for m in all_matchings(4) if real(m) == p)
+    assert first != p
+    monkeypatch.setattr(verify, "nc", lambda m: wrong if m == p else real(m))
+    results = _results(4, "core")
+    assert results["core/projection-idempotent"] == (
+        False, f"projection not idempotent on {first}")
+    for check in ("pair-partition", "lr-preserved-by-projection", "edge-list-roundtrip"):
+        assert results[f"core/{check}"] == (True, "checked 105 matchings")
+    assert results["core/projection-maximizes-nestings"][0]
