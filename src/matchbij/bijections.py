@@ -20,18 +20,17 @@ therefore walk the swaps on a plain partner table, at O(1) per swap, and
 read labels through the right endpoints when they need them. ``tau`` and
 ``tau_inv`` need only the last step, so they replay all of b's swaps at
 once as one rotation of the open arcs' left ends (``_replay``): O(n) time
-and memory, with no nested-pair list built. ``swap_left`` is the
-single-swap reference: it carries the labels explicitly in a
-``LabeledMatching`` and revalidates it on every swap.
+and memory, with no nested-pair list built; ``tau_inv`` reads the stop pair
+off the representative itself. ``swap_left`` is the single-swap reference:
+it carries the labels explicitly in a ``LabeledMatching`` and revalidates
+it on every swap.
 """
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .core import Edge, LabeledMatching, Matching, NCNTriple, _scan, is_noncrossing, nc, nep, stats
+from .core import Edge, LabeledMatching, Matching, NCNTriple, _nested_pairs, _scan, is_noncrossing, nc
 from .lp import _hairpin
 
 __all__ = [
@@ -100,28 +99,26 @@ class SwapStep:
     lperm: tuple[int, ...]
 
 
-def _swap_walk(base: Matching, pairs: Iterable[tuple[int, int]]) -> Iterator[list[int]]:
-    """Swap left endpoints of ``base`` (labeled by left endpoint) along
-    ``pairs``, yielding the partner table after each swap.
+def _swap_walk(base: Matching) -> Iterator[tuple[tuple[int, int], list[int]]]:
+    """Swap left endpoints of the noncrossing ``base`` (labeled by left
+    endpoint) along its nested-pair list, yielding each pair with the
+    partner table after its swap.
 
     The same list is yielded every time and mutated in place between steps.
-    Each swap is O(1) and keeps ``swap_left``'s inversion check; nothing else
-    is validated, so callers build a ``Matching`` from what they keep.
+    Each swap is O(1), and none can invert an edge, as in ``_replay``;
+    nothing is validated, so callers build a ``Matching`` from what they
+    keep. The pairs are walked lazily (``_nested_pairs``), in O(n) memory.
     """
     partner = list(base.partner)
     left = [v for v in range(2 * base.n) if v < partner[v]]  # by label - 1
-    for a, b in pairs:
+    for pair in _nested_pairs(base):
+        a, b = pair
         la, lb = left[a - 1], left[b - 1]
         ra, rb = partner[la], partner[lb]
-        if lb >= ra or la >= rb:
-            raise ValueError(
-                f"swapping left endpoints of {a} and {b} would invert edge "
-                f"{a if lb >= ra else b}"
-            )
         left[a - 1], left[b - 1] = lb, la
         partner[lb], partner[ra] = ra, lb
         partner[la], partner[rb] = rb, la
-        yield partner
+        yield pair, partner
 
 
 def _replay(base: Matching, stop: tuple[int, int]) -> list[int]:
@@ -183,10 +180,9 @@ def swap_sequence(m: Matching) -> Iterator[SwapStep]:
 
 
 def _swap_steps(m: Matching) -> Iterator[SwapStep]:
-    order = nep(m)
     label_of = {right: k for k, (_, right) in enumerate(m._ends, 1)}
     yield SwapStep(None, m, tuple(range(1, m.n + 1)))
-    for pair, partner in zip(order, _swap_walk(m, order)):
+    for pair, partner in _swap_walk(m):
         lperm = tuple(label_of[w] for v, w in enumerate(partner) if v < w)
         yield SwapStep(pair, Matching(m.n, tuple(partner)), lperm)
 
@@ -261,50 +257,46 @@ def tau(t: NCNTriple) -> Matching:
 def tau_inv(representative: Matching) -> NCNTriple:
     """Recover the noncrossing base and chosen pair from a representative.
 
-    The base is the noncrossing projection; the swap count is the nesting
-    deficit. The swaps are replayed to verify the claim, and a mismatch
-    rejects the input as not a representative, naming the first position
-    where the replay differs.
+    The base is the noncrossing projection, and the stop pair (a, b) is read
+    off the representative: the arcs opened after b keep their base left
+    ends, and b's base left end goes to its outermost encloser, so b opens
+    at the last left end the two tables disagree on. Before b's swaps its
+    enclosers a_1 ... a_j, in opening order, hold left ends from right to
+    left. b takes the one a = a_s held, a_1 takes b's, and a_2 ... a_s each
+    take their predecessor's, so a is the s-th encloser when s of them hold
+    a left end right of b's. The swaps are replayed to verify the claim, and
+    a mismatch rejects the input as not a representative, naming the first
+    position where the replay differs.
 
-    O(n) time and memory for n edges, plus the scan behind ``stats`` of the
-    representative: the deficit-th nested pair is found from the per-label
-    encloser counts of the base, then one ``_replay`` reaches it.
+    O(n) time and memory for n edges: one walk of the base to b, then one
+    ``_replay``.
     """
     base = nc(representative)
     if representative == base:
         return NCNTriple(base, None)
-    depth = []  # by label - 1: the number of arcs enclosing it in the base
-    height = 0
-    for v, w in enumerate(base.partner):
+    got = representative.partner
+    stop = max(v for v, w in enumerate(base.partner) if v < w != got[v])
+    k = b = 0  # nested pairs, and labels, that open before the stop
+    opened: list[tuple[int, int]] = []  # (label, right end) of the open arcs
+    for v, w in enumerate(base.partner[:stop]):
         if v < w:
-            depth.append(height)
-            height += 1
+            b += 1
+            k += len(opened)
+            opened.append((b, w))
         else:
-            height -= 1
-    # In a noncrossing base the nested pairs with second label b are b's
-    # enclosers, so counts[b - 1] is the number of pairs up to label b.
-    counts = list(accumulate(depth))
-    k = counts[-1]
-    deficit = k - stats(representative).ne
-    if not 1 <= deficit <= k:
+            opened.pop()
+    held = got[base.partner[stop]]  # b's left end in the representative
+    s = sum(got[w] > held for _, w in opened)
+    pair = (opened[s - 1][0], b + 1) if s else None
+    replayed = _replay(base, pair) if pair else base.partner
+    if tuple(replayed) != got:
+        v = next(v for v, (x, y) in enumerate(zip(replayed, got)) if x != y)
         raise NotRepresentativeError(
-            f"nesting count {k - deficit} is impossible for this LR word "
-            f"(noncrossing maximum is {k})"
+            f"not a class representative: replaying {k + s if s else 0} swaps "
+            f"from the noncrossing projection matches position {v} with "
+            f"{replayed[v]}, not {got[v]}"
         )
-    b = bisect_left(counts, deficit) + 1
-    # The pair is b's encloser at depth d: the last label before b at depth d.
-    d = deficit - counts[b - 2] - 1
-    a = b - 1 - depth[b - 2::-1].index(d)
-    replayed = _replay(base, (a, b))
-    expected = representative.partner
-    if tuple(replayed) != expected:
-        v = next(v for v, (x, y) in enumerate(zip(replayed, expected)) if x != y)
-        raise NotRepresentativeError(
-            f"not a class representative: replaying {deficit} swaps from the "
-            f"noncrossing projection matches position {v} with {replayed[v]}, "
-            f"not {expected[v]}"
-        )
-    return NCNTriple(base, (a, b))
+    return NCNTriple(base, pair)
 
 
 def sigma(m: Matching) -> Matching:
@@ -319,7 +311,7 @@ def sigma(m: Matching) -> Matching:
 def sigma_inv(representative: Matching) -> Matching:
     """Inverse of the composite bijection.
 
-    O(n) time and memory for n edges, plus the scan behind ``stats``, as
-    ``tau_inv``; then ``phi_inv``'s O(n log n).
+    ``tau_inv``'s O(n) time and memory for n edges, then ``phi_inv``'s
+    O(n log n).
     """
     return phi_inv(tau_inv(representative))

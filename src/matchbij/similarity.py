@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .core import (
     LRSequence,
     Matching,
-    _nested_pairs,
     lr_sequence,
     matching_from_lr,
     stats,
@@ -79,14 +78,14 @@ def ns_stream(n: int):
     Walks each noncrossing matching's swap sequence; every step is one
     representative, and no representative repeats across the stream.
 
-    The nested pairs of each base are walked lazily (``_nested_pairs``), so
+    The nested pairs of each base are walked lazily (``_swap_walk``), so
     the stream holds O(n) at a time and reaches its first items in O(n)
     memory at any size the cap admits. O(n) per yielded representative,
     which is the cost of building it, plus O(n) per noncrossing matching.
     """
     for m in noncrossing_matchings(n):
         yield m
-        for partner in _swap_walk(m, _nested_pairs(m)):
+        for _, partner in _swap_walk(m):
             yield Matching(n, tuple(partner))
 
 
@@ -97,7 +96,7 @@ def ns_representatives(n: int) -> set[Matching]:
 
 def is_representative(m: Matching) -> bool:
     """True iff ``m`` is a canonical class representative, at the cost of
-    ``tau_inv``: O(n) time and memory, plus the scan behind ``stats``."""
+    ``tau_inv``: O(n) time and memory."""
     try:
         tau_inv(m)
     except NotRepresentativeError:

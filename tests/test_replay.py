@@ -1,12 +1,16 @@
 """``tau`` and ``tau_inv`` replay the swaps one rotation per nested arc
-(``bijections._replay``). They are checked against the list-based maps they
-replaced, kept here as the reference: build the whole ``nep`` list, find the
-pair with ``order.index`` and walk it with ``_swap_walk``, one swap a step.
-Results, exception types and messages must agree.
+(``bijections._replay``), and ``tau_inv`` reads the stop pair off its input.
+They are checked against the list-based maps they replaced, kept here as the
+reference: build the whole ``nep`` list, find the pair with ``order.index``
+or as the nesting deficit, and walk it with ``_swap_walk``, one swap a step.
+Results and exception types must agree, and every rejection message must be
+true of the reference's replay.
 """
 
 import random
+import re
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -17,23 +21,26 @@ from matchbij import (
     NotRepresentativeError,
     all_matchings,
     from_pairs,
+    is_representative,
     lr_sequence,
     matching_from_lr,
     nc,
     ncn_elements,
     nep,
     noncrossing_matchings,
+    sigma_inv,
     stats,
     tau,
     tau_inv,
 )
+from matchbij import bijections, core
 from matchbij.bijections import _swap_walk
 from test_swap_walk import dyck_words, ladder, with_random_pair
 
 
-def reference_replay(base, order, count):
+def reference_replay(base, count):
     partner = base.partner
-    for partner in _swap_walk(base, order[:count]):
+    for _, partner in islice(_swap_walk(base), count):
         pass
     return Matching(base.n, tuple(partner))
 
@@ -41,8 +48,7 @@ def reference_replay(base, order, count):
 def reference_tau(t):
     if t.pair is None:
         return t.base
-    order = nep(t.base)
-    return reference_replay(t.base, order, order.index(t.pair) + 1)
+    return reference_replay(t.base, nep(t.base).index(t.pair) + 1)
 
 
 def reference_tau_inv(representative):
@@ -50,22 +56,11 @@ def reference_tau_inv(representative):
     if representative == base:
         return NCNTriple(base, None)
     order = nep(base)
-    k = len(order)
-    deficit = k - stats(representative).ne
-    if not 1 <= deficit <= k:
-        raise NotRepresentativeError(
-            f"nesting count {k - deficit} is impossible for this LR word "
-            f"(noncrossing maximum is {k})"
-        )
-    replayed = reference_replay(base, order, deficit).partner
-    expected = representative.partner
-    if replayed != expected:
-        v = next(v for v, (x, y) in enumerate(zip(replayed, expected)) if x != y)
-        raise NotRepresentativeError(
-            f"not a class representative: replaying {deficit} swaps from the "
-            f"noncrossing projection matches position {v} with {replayed[v]}, "
-            f"not {expected[v]}"
-        )
+    # The deficit is cr(representative), in 1..len(order): see
+    # test_crossings_are_the_nesting_deficit.
+    deficit = len(order) - stats(representative).ne
+    if reference_replay(base, deficit) != representative:
+        raise NotRepresentativeError(f"replaying {deficit} swaps does not reach the input")
     return NCNTriple(base, order[deficit - 1])
 
 
@@ -76,8 +71,26 @@ def outcome(f, x):
         return type(exc), str(exc)
 
 
+REJECTION = re.compile(r"not a class representative: replaying (\d+) swaps from the "
+                       r"noncrossing projection matches position (\d+) with (\d+), not (\d+)")
+
+
+def check_rejection(m, message):
+    """The message is true: k swaps along the nested-pair list of the
+    projection put x at position v, where ``m`` holds y != x."""
+    k, v, x, y = map(int, REJECTION.fullmatch(message).groups())
+    base = nc(m)
+    assert k <= len(nep(base))
+    assert reference_replay(base, k).partner[v] == x != y == m.partner[v]
+
+
 def check_inverse(m):
-    assert outcome(tau_inv, m) == outcome(reference_tau_inv, m)
+    got, expected = outcome(tau_inv, m), outcome(reference_tau_inv, m)
+    if expected[0] == "value":
+        assert got == expected
+    else:
+        assert got[0] is expected[0] is NotRepresentativeError
+        check_rejection(m, got[1])
 
 
 def check_triple(t):
@@ -199,4 +212,32 @@ def test_rejection_names_one_position():
     assert message.startswith("not a class representative: replaying ")
     assert " swaps from the noncrossing projection " in message
     assert len(message) < 200
-    assert outcome(reference_tau_inv, m) == (NotRepresentativeError, message)
+    assert outcome(reference_tau_inv, m)[0] is NotRepresentativeError
+    check_rejection(m, message)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_crossings_are_the_nesting_deficit(n):
+    """ne + cr = ne(nc(m)) for every matching: each closing step of the LR
+    word closes one of the h open arcs, nesting in those opened before it
+    and crossing those opened after, and nc always closes the last opened,
+    which nests in all the others (Flajolet's path weighting). A matching
+    that is not its own projection crosses, so the reference's deficit lies
+    in 1..ne(nc(m)) and needs no range check."""
+    for m in all_matchings(n):
+        ne, cr = stats(m)
+        assert ne + cr == stats(nc(m)).ne
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_inverses_run_no_scan(monkeypatch, n):
+    maps = (tau_inv, sigma_inv, is_representative)
+    matchings = list(all_matchings(n))
+    expected = [[outcome(f, m) for f in maps] for m in matchings]
+
+    def refuse(partner):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(core, "_scan", refuse)
+    monkeypatch.setattr(bijections, "_scan", refuse)
+    assert [[outcome(f, m) for f in maps] for m in matchings] == expected

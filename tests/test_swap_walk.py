@@ -25,7 +25,6 @@ from matchbij import (
     tau,
     tau_inv,
 )
-from matchbij.bijections import _swap_walk
 
 
 def reference_order(base):
@@ -116,15 +115,6 @@ def test_tau_inv_rejects_non_representative_with_valid_word_and_deficit():
     m = from_pairs([(0, 5), (1, 3), (2, 4)], 3)
     with pytest.raises(NotRepresentativeError, match="not a class representative"):
         tau_inv(m)
-
-
-def test_walk_keeps_the_inversion_check():
-    m = from_pairs([(0, 1), (2, 3)], 2)
-    with pytest.raises(ValueError) as reference:
-        swap_left(m, 1, 2)
-    with pytest.raises(ValueError) as walked:
-        list(_swap_walk(m, [(1, 2)]))
-    assert str(walked.value) == str(reference.value)
 
 
 @st.composite

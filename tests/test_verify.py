@@ -130,7 +130,7 @@ def test_one_run_builds_each_family_once(monkeypatch):
 
 @pytest.mark.parametrize("suite,expected", [
     ("core", {"all_matchings": 1, "_scan": 105, "noncrossing_matchings": 1}),
-    ("lp", {"all_matchings": 2, "_scan": 105, "_hairpin": 105}),
+    ("lp", {"all_matchings": 1, "_scan": 105, "_hairpin": 105}),
     ("bijections", {"all_matchings": 1, "_scan": 105, "_hairpin": 105, "sigma": 51,
                     "ns_representatives": 1, "noncrossing_matchings": 1, "ncn_elements": 1}),
     ("similarity", {"census": 1, "ns_representatives": 1, "noncrossing_matchings": 1}),
@@ -165,8 +165,20 @@ def test_core_checks_share_one_walk_of_all_matchings(monkeypatch):
     assert calls["all_matchings"] == 1
     calls["all_matchings"] = 0
     assert all(ok for _, ok, _ in run_suite(4, "all"))
-    # The shared walk (core checks, L & P filter, stream count) and the mirror check.
-    assert calls["all_matchings"] == 2
+    # The shared walk serves the core checks, the L & P filter and the stream
+    # count; the mirror check reads the L & P list.
+    assert calls["all_matchings"] == 1
+
+
+def test_mirror_check_names_the_member_whose_mirror_is_missing(monkeypatch):
+    lp4 = [m for m in all_matchings(4) if is_lp(m)]
+    target = next(m for m in lp4[5:] if mirror(m) != m)
+    missing = mirror(target)
+    real = verify._Families.lp
+    monkeypatch.setattr(verify._Families, "lp", property(
+        lambda fam: [m for m in real.fget(fam) if m != missing]))
+    assert _results(4, "lp")["lp/mirror-invariance"] == (
+        False, f"mirror changes membership on {target}")
 
 
 def test_each_walked_check_keeps_its_own_first_failure(monkeypatch):
