@@ -18,7 +18,6 @@ __all__ = [
     "InvalidMatchingError",
     "Matching",
     "Edge",
-    "LRSequence",
     "MatchingStats",
     "LabeledMatching",
     "NCNTriple",
@@ -122,37 +121,6 @@ class Edge(NamedTuple):
     label: int
     left: int
     right: int
-
-
-@dataclass(frozen=True)
-class LRSequence:
-    """The left/right endpoint word of a matching, over the alphabet L, R.
-
-    Valid words satisfy the Dyck condition: every prefix has at least as many
-    L as R, and the totals agree. Construction validates eagerly.
-    """
-
-    word: str
-
-    def __post_init__(self):
-        depth = 0
-        for i, c in enumerate(self.word):
-            if c == "L":
-                depth += 1
-            elif c == "R":
-                depth -= 1
-                if depth < 0:
-                    raise ValueError(f"unmatched R at index {i} of {self.word!r}")
-            else:
-                raise ValueError(f"invalid symbol {c!r} at index {i}; expected L or R")
-        if depth != 0:
-            raise ValueError(f"{depth} unmatched L symbols in {self.word!r}")
-
-    def __str__(self):
-        return self.word
-
-    def __len__(self):
-        return len(self.word)
 
 
 class MatchingStats(NamedTuple):
@@ -269,14 +237,31 @@ def edges(m: Matching) -> list[Edge]:
     return [Edge(k + 1, l, r) for k, (l, r) in enumerate(m.pairs())]
 
 
-def lr_sequence(m: Matching) -> LRSequence:
+def lr_sequence(m: Matching) -> str:
     """The word recording, left to right, whether each position opens (L) or
     closes (R) an edge; O(n)."""
-    return LRSequence(_lr_word(m.partner))
+    return "".join(["L" if v < w else "R" for v, w in enumerate(m.partner)])
 
 
-def _lr_word(partner: tuple[int, ...]) -> str:
-    return "".join(["L" if v < w else "R" for v, w in enumerate(partner)])
+def _word_nestings(word: str) -> int:
+    """ne(nc(w)) of an LR word w: the sum, over its closing steps, of the
+    arcs still open around the one that closes. Raises ``ValueError`` unless
+    w is a Dyck word over L and R (every prefix has at least as many L as R,
+    and the totals agree); O(n)."""
+    depth = total = 0
+    for i, c in enumerate(word):
+        if c == "L":
+            depth += 1
+        elif c == "R":
+            depth -= 1
+            if depth < 0:
+                raise ValueError(f"unmatched R at index {i} of {word!r}")
+            total += depth
+        else:
+            raise ValueError(f"invalid symbol {c!r} at index {i}; expected L or R")
+    if depth != 0:
+        raise ValueError(f"{depth} unmatched L symbols in {word!r}")
+    return total
 
 
 def _pair_by_stack(is_left: list[bool]) -> tuple[int, ...]:
@@ -293,11 +278,14 @@ def _pair_by_stack(is_left: list[bool]) -> tuple[int, ...]:
     return tuple(partner)
 
 
-def matching_from_lr(word: "LRSequence | str") -> Matching:
-    """The unique noncrossing matching with the given LR word; O(n)."""
-    seq = word if isinstance(word, LRSequence) else LRSequence(word)
-    partner = _pair_by_stack([c == "L" for c in seq.word])
-    return Matching(len(seq) // 2, partner)
+def matching_from_lr(word: str) -> Matching:
+    """The unique noncrossing matching with the given LR word; O(n).
+
+    Raises ``ValueError`` for a word that is not a Dyck word over L and R
+    (see ``_word_nestings``), and ``InvalidMatchingError`` for the empty word.
+    """
+    _word_nestings(word)
+    return Matching(len(word) // 2, _pair_by_stack([c == "L" for c in word]))
 
 
 def nc(m: Matching) -> Matching:

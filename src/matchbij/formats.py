@@ -15,7 +15,6 @@ followed by one line "nesting a b", with "nesting 0 0" when no pair is
 chosen.
 """
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
@@ -23,7 +22,6 @@ from .core import _QUOTE_LIMIT, InvalidMatchingError, Matching, NCNTriple, _digi
 
 __all__ = [
     "ParseError",
-    "DotBracketString",
     "parse_input",
     "parse_pairs",
     "parse_partner",
@@ -56,19 +54,6 @@ class ParseError(ValueError):
         super().__init__(where + message)
         self.line = line
         self.column = column
-
-
-@dataclass(frozen=True)
-class DotBracketString:
-    """A validated dot-bracket encoding of a complete matching."""
-
-    text: str
-
-    def __post_init__(self):
-        _decode_dotbracket(self.text, line=1)
-
-    def __str__(self):
-        return self.text
 
 
 def _quote(fragment: str) -> str:
@@ -217,29 +202,6 @@ def _partner(lines: list[tuple[int, str]]) -> Matching:
         raise ParseError(str(exc), line=lineno) from None
 
 
-def _decode_dotbracket(body: str, line: int) -> list[tuple[int, int]]:
-    stacks: dict[int, list[int]] = {}
-    pairs = []
-    for i, c in enumerate(body):
-        fam = _OPEN.find(c)
-        if fam >= 0:
-            stacks.setdefault(fam, []).append(i)
-            continue
-        fam = _CLOSE.find(c)
-        if fam < 0:
-            raise ParseError(f"unexpected character {c!r}", line=line, column=i + 1)
-        stack = stacks.get(fam)
-        if not stack:
-            raise ParseError(f"unbalanced {c!r} with no matching {_OPEN[fam]!r}",
-                             line=line, column=i + 1)
-        pairs.append((stack.pop(), i))
-    for fam, stack in stacks.items():
-        if stack:
-            raise ParseError(
-                f"unclosed {_OPEN[fam]!r}", line=line, column=stack[-1] + 1)
-    return pairs
-
-
 def parse_dotbracket(text: str) -> Matching:
     """Parse the dot-bracket format; O(L) for L characters."""
     return _dotbracket(_content_lines(text))
@@ -252,8 +214,27 @@ def _dotbracket(lines: list[tuple[int, str]]) -> Matching:
         raise ParseError("dot-bracket input must be a single line",
                          line=lines[1][0])
     lineno, body = lines[0]
+    stacks: dict[int, list[int]] = {}
+    pairs = []
+    for i, c in enumerate(body):
+        fam = _OPEN.find(c)
+        if fam >= 0:
+            stacks.setdefault(fam, []).append(i)
+            continue
+        fam = _CLOSE.find(c)
+        if fam < 0:
+            raise ParseError(f"unexpected character {c!r}", line=lineno, column=i + 1)
+        stack = stacks.get(fam)
+        if not stack:
+            raise ParseError(f"unbalanced {c!r} with no matching {_OPEN[fam]!r}",
+                             line=lineno, column=i + 1)
+        pairs.append((stack.pop(), i))
+    for fam, stack in stacks.items():
+        if stack:
+            raise ParseError(
+                f"unclosed {_OPEN[fam]!r}", line=lineno, column=stack[-1] + 1)
     # A decode that succeeds pairs every character.
-    return from_pairs(_decode_dotbracket(body, line=lineno), len(body) // 2)
+    return from_pairs(pairs, len(body) // 2)
 
 
 def parse_input(text: str) -> Matching:
@@ -372,7 +353,7 @@ def emit_partner(m: Matching) -> str:
     return ("%d " * len(p))[:-1] % p + "\n"
 
 
-def emit_dotbracket(m: Matching) -> DotBracketString:
+def emit_dotbracket(m: Matching) -> str:
     """Serialize as dot-bracket with greedy family assignment.
 
     Edges are taken by left endpoint; each takes the lowest-index family in
@@ -380,8 +361,7 @@ def emit_dotbracket(m: Matching) -> DotBracketString:
     cross, so its arcs open at a left endpoint are nested, and the new edge
     crosses one of them iff it closes after the innermost. One stack of open
     right endpoints per family makes that one comparison per family tried:
-    O(n * families) in all, with at most 30 families, plus the O(n)
-    validation of the result.
+    O(n * families) in all, with at most 30 families.
     """
     stacks: list[list[int]] = []  # per family, the right ends of its open arcs
     family = [0] * (2 * m.n)  # by position
@@ -399,16 +379,15 @@ def emit_dotbracket(m: Matching) -> DotBracketString:
             stacks.append([])
         stacks[f].append(w)
         family[v] = f
-    return DotBracketString("".join(
-        _OPEN[family[v]] if v < w else _CLOSE[family[w]]
-        for v, w in enumerate(m.partner)))
+    return "".join(_OPEN[family[v]] if v < w else _CLOSE[family[w]]
+                   for v, w in enumerate(m.partner))
 
 
 # Each matching format's name, in help order, with its (parser, emitter).
 FORMATS = {
     "pairs": (parse_pairs, emit_pairs),
     "partner": (parse_partner, emit_partner),
-    "dotbracket": (parse_dotbracket, lambda m: str(emit_dotbracket(m)) + "\n"),
+    "dotbracket": (parse_dotbracket, lambda m: emit_dotbracket(m) + "\n"),
 }
 
 

@@ -30,18 +30,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HairpinDecomposition:
-    """The inflated hairpin (A, B) of a matching plus its gap assignment.
+    """The inflated hairpin (A, B) of a matching.
 
     ``a_side`` holds the smaller labels, ``b_side`` the larger; both are
-    sorted. ``gaps`` maps every non-hairpin edge label to the index of the
-    gap (between consecutive hairpin endpoints, 0 = before the first) that
-    contains both its endpoints. A noncrossing matching gets the empty
-    decomposition: both sides empty, every edge in gap 0.
+    sorted. A noncrossing matching gets the empty decomposition: both sides
+    empty.
     """
 
     a_side: tuple[int, ...]
     b_side: tuple[int, ...]
-    gaps: dict[int, int]
 
     def __post_init__(self):
         if bool(self.a_side) != bool(self.b_side):
@@ -64,7 +61,8 @@ def find_inflated_hairpin(m: Matching) -> Optional[HairpinDecomposition]:
     that cross some larger-labeled edge, B those that cross some smaller-
     labeled one. The candidate is then checked for disjointness, internal
     nestedness, completeness of the A-B crossings, and gap confinement of
-    all remaining edges. None means "not an L & P matching".
+    all remaining edges. None means "not an L & P matching"; a decomposition
+    records the two sides only.
 
     One pass over the partner table (``core._scan``) finds the sides as bit
     masks and the crossing count, which settles the first three checks at
@@ -80,7 +78,7 @@ def _hairpin(m: Matching, scanned: tuple[int, int, int, int]) -> Optional[Hairpi
     callers that read the scan too; O(n log n)."""
     _, cross_count, a_mask, b_mask = scanned
     if cross_count == 0:
-        return HairpinDecomposition((), (), {k: 0 for k in range(1, m.n + 1)})
+        return HairpinDecomposition((), ())
     # Every crossing pair x < y has x in A and y in B, so the count reaches
     # |A| |B| iff max A < min B (so the sides are disjoint) and every A-B
     # pair crosses. Then each side is nested: two of its arcs cannot cross,
@@ -93,16 +91,13 @@ def _hairpin(m: Matching, scanned: tuple[int, int, int, int]) -> Optional[Hairpi
     pairs = m.pairs()
     hairpin_labels = set(a_side + b_side)
     hairpin_vertices = sorted(v for x in hairpin_labels for v in pairs[x - 1])
-    gaps: dict[int, int] = {}
+    # Every other edge lies in one gap between consecutive hairpin endpoints.
     for label, (left, right) in enumerate(pairs, 1):
         if label in hairpin_labels:
             continue
-        gl = bisect_left(hairpin_vertices, left)
-        gr = bisect_left(hairpin_vertices, right)
-        if gl != gr:
+        if bisect_left(hairpin_vertices, left) != bisect_left(hairpin_vertices, right):
             return None
-        gaps[label] = gl
-    return HairpinDecomposition(a_side, b_side, gaps)
+    return HairpinDecomposition(a_side, b_side)
 
 
 def is_lp(m: Matching) -> bool:

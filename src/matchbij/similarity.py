@@ -10,13 +10,7 @@ swap sequence; one per class.
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import (
-    LRSequence,
-    Matching,
-    lr_sequence,
-    matching_from_lr,
-    stats,
-)
+from .core import Matching, _word_nestings, lr_sequence, stats
 from .bijections import NotRepresentativeError, _swap_walk, tau_inv
 from .enumeration import _walk, _walk_word, noncrossing_matchings
 
@@ -32,16 +26,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClassKey:
-    """The invariant pair (LR word, nesting count) naming a similarity class."""
+    """The invariant pair (LR word, nesting count) naming a similarity class;
+    construction checks that some matching has both, in O(n)."""
 
-    lr: LRSequence
+    lr: str
     ne: int
 
     def __post_init__(self):
         if self.ne < 0:
             raise ValueError(f"nesting count must be nonnegative, got {self.ne}")
+        if not self.lr:
+            raise ValueError("LR word must be nonempty")
         # The noncrossing matching maximizes nestings for its LR word.
-        ceiling = stats(matching_from_lr(self.lr.word)).ne
+        ceiling = _word_nestings(self.lr)
         if self.ne > ceiling:
             raise ValueError(
                 f"no matching with word {self.lr} has {self.ne} nestings "
@@ -63,11 +60,11 @@ def census(n: int) -> tuple[int, dict[ClassKey, int]]:
     number of classes rather than the double factorial. The walk carries each
     matching's LR word (as a mask) and nesting count, amortized O(1) int
     operations per matching at enumerable sizes; each class then costs O(n)
-    to spell its word plus one validated ``ClassKey``.
+    to spell its word and O(n) to check it as a ``ClassKey``.
     """
     counts = Counter(_walk(n))  # keys in first-seen order
     return len(counts), {
-        ClassKey(LRSequence(_walk_word(lefts, n)), ne): c
+        ClassKey(_walk_word(lefts, n), ne): c
         for (lefts, ne), c in counts.items()
     }
 

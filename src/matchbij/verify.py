@@ -103,9 +103,9 @@ class _Families:
             if not want_core:
                 continue
             ne, cr = scanned[:2]
-            p, word = nc(m), lr_sequence(m).word
+            p, word = nc(m), lr_sequence(m)
             if (seen := projected.get(p)) is None:
-                seen = projected[p] = lr_sequence(p).word, nc(p) != p
+                seen = projected[p] = lr_sequence(p), nc(p) != p
             if ne + cr + alignments(m)[0] != total:
                 first.setdefault("pair-partition", f"partition fails on {m}")
             if seen[0] != word:
@@ -265,9 +265,9 @@ def _check_coverage(fam: _Families) -> Verdict:
     _, table = fam.census
     seen = set()
     for m in fam.noncrossing:
-        word = lr_sequence(m).word
+        word = lr_sequence(m)
         seen.update((word, ne) for ne in range(stats(m).ne + 1))
-    if seen != {(key.lr.word, key.ne) for key in table}:
+    if seen != {(key.lr, key.ne) for key in table}:
         return False, "constructive coverage misses a class"
     return True, f"all {len(seen)} (word, count) classes witnessed"
 

@@ -150,7 +150,7 @@ def test_criterion_5_figure_goldens():
     image = tau(t)
     assert image == REP_EXAMPLE
     assert nestings(image)[0] == 5
-    assert str(lr_sequence(image)) == "LLLRLLRLRRRLRR"
+    assert lr_sequence(image) == "LLLRLLRLRRRLRR"
     trace = tuple(swap_sequence(NESTED4))
     assert [s.lperm for s in trace] == [
         (1, 2, 3, 4), (2, 1, 3, 4), (2, 3, 1, 4), (2, 3, 4, 1), (2, 4, 3, 1)]

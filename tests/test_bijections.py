@@ -178,7 +178,7 @@ class TestTau:
         image = tau(NCNTriple(nc_example, (2, 5)))
         assert image == rep_example
         assert nestings(image)[0] == 5
-        assert str(lr_sequence(image)) == "LLLRLLRLRRRLRR"
+        assert lr_sequence(image) == "LLLRLLRLRRRLRR"
 
     def test_no_pair_is_identity(self, nc_example):
         assert tau(NCNTriple(nc_example, None)) == nc_example

@@ -1,10 +1,10 @@
 import pytest
 
 from matchbij import (
+    ClassKey,
     Edge,
     InvalidMatchingError,
     LabeledMatching,
-    LRSequence,
     Matching,
     alignments,
     crossings,
@@ -16,9 +16,11 @@ from matchbij import (
     nc,
     nep,
     nestings,
+    noncrossing_matchings,
     rperm,
     stats,
 )
+from matchbij.core import _word_nestings
 
 
 class TestFromPairs:
@@ -83,28 +85,44 @@ class TestEdges:
 
 class TestLRSequence:
     def test_example(self, similar_a):
-        assert str(lr_sequence(similar_a)) == "LLRLLRRRLR"
+        assert lr_sequence(similar_a) == "LLRLLRRRLR"
+        assert type(lr_sequence(similar_a)) is str
 
     def test_hairpin(self, hairpin):
-        assert str(lr_sequence(hairpin)) == "LLRR"
+        assert lr_sequence(hairpin) == "LLRR"
 
     def test_seven_edges(self, nc_example):
-        assert str(lr_sequence(nc_example)) == "LLLRLLRLRRRLRR"
+        assert lr_sequence(nc_example) == "LLLRLLRLRRRLRR"
 
+    # matching_from_lr and ClassKey both check the word.
     def test_validation_rejects_unmatched_r(self):
         with pytest.raises(ValueError, match="unmatched R at index 0"):
-            LRSequence("RL")
+            matching_from_lr("RL")
+        with pytest.raises(ValueError, match="unmatched R at index 2"):
+            ClassKey("LRRL", 0)
 
     def test_validation_rejects_leftover_l(self):
-        with pytest.raises(ValueError, match="unmatched L"):
-            LRSequence("LLR")
+        with pytest.raises(ValueError, match="1 unmatched L symbols"):
+            matching_from_lr("LLR")
+        with pytest.raises(ValueError, match="2 unmatched L symbols"):
+            ClassKey("LLLR", 0)
 
     def test_validation_rejects_alphabet(self):
-        with pytest.raises(ValueError, match="invalid symbol"):
-            LRSequence("LX")
+        with pytest.raises(ValueError, match="invalid symbol 'X' at index 1"):
+            matching_from_lr("LX")
+        with pytest.raises(ValueError, match="invalid symbol 'r' at index 1"):
+            ClassKey("Lr", 0)
 
-    def test_len(self):
-        assert len(LRSequence("LR")) == 2
+    def test_empty_word_rejected(self):
+        with pytest.raises(InvalidMatchingError, match="edge count must be positive"):
+            matching_from_lr("")
+        with pytest.raises(ValueError, match="nonempty"):
+            ClassKey("", 0)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_word_nestings_is_the_noncrossing_nesting_count(self, n):
+        for m in noncrossing_matchings(n):
+            assert _word_nestings(lr_sequence(m)) == stats(m).ne == nestings(m)[0], m
 
 
 class TestNestings:
@@ -157,7 +175,7 @@ class TestNc:
 
     def test_from_lr_word(self):
         assert matching_from_lr("LLRR") == from_pairs([(0, 3), (1, 2)], 2)
-        assert matching_from_lr(LRSequence("LRLR")) == from_pairs([(0, 1), (2, 3)], 2)
+        assert matching_from_lr("LRLR") == from_pairs([(0, 1), (2, 3)], 2)
 
 
 class TestRperm:

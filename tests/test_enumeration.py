@@ -12,12 +12,13 @@ from matchbij import (
     from_pairs,
     is_noncrossing,
     lp_count_formula,
+    lr_sequence,
     ncn_elements,
     nestings,
     noncrossing_matchings,
     ns_stream,
 )
-from matchbij.core import _lr_word, _scan, matching_from_lr
+from matchbij.core import _scan, matching_from_lr
 from matchbij.enumeration import _walk, _walk_word
 
 
@@ -141,7 +142,7 @@ def check_walk(n):
     # own reference in test_classifier.py, gives the nesting count.
     walked = 0
     for (lefts, ne), m in zip(_walk(n), reference_all_matchings(n), strict=True):
-        assert _walk_word(lefts, n) == _lr_word(m.partner), m
+        assert _walk_word(lefts, n) == lr_sequence(m), m
         assert ne == _scan(m.partner)[0], m
         walked += 1
     assert walked == double_factorial(2 * n - 1)
@@ -161,7 +162,7 @@ def test_walk_of_one_edge():
     # The only element: one left end at 0, so the LR word is "LR".
     assert list(_walk(1)) == [(0b01, 0)]
     count, keys = census(1)
-    assert count == 1 and [str(key.lr) for key in keys] == ["LR"]
+    assert count == 1 and [key.lr for key in keys] == ["LR"]
 
 
 def test_walk_checks_its_size_at_the_call():

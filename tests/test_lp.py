@@ -21,12 +21,14 @@ class TestFindInflatedHairpin:
         d = find_inflated_hairpin(lp_example)
         assert d.a_side == (1, 2)
         assert d.b_side == (4, 5)
-        assert d.gaps == {3: 2, 6: 5, 7: 7}
+        # Arcs 3, 6 and 7 each lie in one gap between hairpin endpoints; an
+        # arc over the whole matching straddles them all.
+        wrapped = from_pairs([(0, 15)] + [(l + 1, r + 1) for l, r in lp_example.pairs()], 8)
+        assert find_inflated_hairpin(wrapped) is None
 
     def test_noncrossing_gets_empty_decomposition(self, nc_example):
         d = find_inflated_hairpin(nc_example)
         assert d.a_side == () and d.b_side == ()
-        assert d.gaps == {label: 0 for label in range(1, 8)}
 
     def test_two_sided_example(self, similar_a):
         d = find_inflated_hairpin(similar_a)
@@ -55,7 +57,7 @@ class TestRuntimeChecks:
 
     def test_decomposition_rejects_one_sided_hairpin(self):
         with pytest.raises(ValueError, match="both empty or both nonempty"):
-            HairpinDecomposition((1,), (), {})
+            HairpinDecomposition((1,), ())
 
     def test_inexact_division(self, monkeypatch):
         monkeypatch.setattr(lp, "comb", lambda a, b: 1)

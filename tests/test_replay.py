@@ -184,7 +184,7 @@ def test_last_pair_reaches_the_nonnesting_matching(bases):
     for base in bases():
         t = NCNTriple(base, last_nested_pair(base))
         image = tau(t)
-        assert image == nonnesting(str(lr_sequence(base)))
+        assert image == nonnesting(lr_sequence(base))
         assert stats(image).ne == 0
         assert tau_inv(image) == t
 

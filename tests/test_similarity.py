@@ -2,7 +2,6 @@ import pytest
 
 from matchbij import (
     ClassKey,
-    LRSequence,
     census,
     class_key,
     from_pairs,
@@ -19,21 +18,21 @@ class TestClassKey:
     def test_similar_matchings_share_keys(self, similar_a, similar_b):
         key = class_key(similar_a)
         assert key == class_key(similar_b)
-        assert key.lr.word == "LLRLLRRRLR" and key.ne == 2
+        assert key.lr == "LLRLLRRRLR" and key.ne == 2
 
     def test_sequential(self):
         key = class_key(from_pairs([(0, 1), (2, 3)], 2))
-        assert (key.lr.word, key.ne) == ("LRLR", 0)
+        assert (key.lr, key.ne) == ("LRLR", 0)
 
     def test_representative_key(self, rep_example):
         key = class_key(rep_example)
-        assert (key.lr.word, key.ne) == ("LLLRLLRLRRRLRR", 5)
+        assert (key.lr, key.ne) == ("LLLRLLRLRRRLRR", 5)
 
     def test_rejects_impossible_nesting_count(self):
         with pytest.raises(ValueError, match="maximum is 1"):
-            ClassKey(LRSequence("LLRR"), 2)
+            ClassKey("LLRR", 2)
         with pytest.raises(ValueError, match="nonnegative"):
-            ClassKey(LRSequence("LLRR"), -1)
+            ClassKey("LLRR", -1)
 
 
 class TestCensus:
