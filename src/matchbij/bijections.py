@@ -27,8 +27,7 @@ it on every swap.
 """
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import Edge, LabeledMatching, Matching, NCNTriple, _nested_pairs, _scan, is_noncrossing, nc
 from .lp import _hairpin
@@ -88,11 +87,11 @@ def swap_left(m: "Matching | LabeledMatching", a: int, b: int) -> LabeledMatchin
     return LabeledMatching(tuple(new_edges))
 
 
-@dataclass(frozen=True)
-class SwapStep:
+class SwapStep(NamedTuple):
     """One stage of a swap sequence: the pair just swapped (None at the
     start), the matching reached, and its lperm, the base's edge labels in
-    the order their left endpoints now appear."""
+    the order their left endpoints now appear. Built only by ``swap_sequence``,
+    so construction checks nothing."""
 
     swapped: Optional[tuple[int, int]]
     matching: Matching

@@ -13,7 +13,7 @@ from itertools import islice
 from math import exp, inf, lgamma, log, log1p
 from typing import Optional
 
-from .core import _scan, lr_sequence
+from .core import _digits, _scan, lr_sequence
 from .lp import _hairpin, enumerate_lp, lp_count_formula
 from .bijections import phi, phi_inv, sigma, sigma_inv, tau, tau_inv
 from .similarity import census, ns_stream
@@ -141,10 +141,10 @@ def _check_count_prints(what: str, n: int) -> None:
         digits = inf
     if limit and digits >= limit:
         raise ValueError(
-            f"count {what} --n {n} has more than {limit} digits, the interpreter's "
+            f"count {what} --n {_digits(n)} has more than {limit} digits, the interpreter's "
             f"limit for printing an integer (PYTHONINTMAXSTRDIGITS)")
     if digits >= _MAX_COUNT_DIGITS:
-        raise ValueError(f"count {what} --n {n} has too many digits to compute")
+        raise ValueError(f"count {what} --n {_digits(n)} has too many digits to compute")
 
 
 def _count(what: str, n: int, brute: bool) -> int:
@@ -162,7 +162,7 @@ def _count(what: str, n: int, brute: bool) -> int:
 def _cmd_count(args) -> int:
     n = args.n
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise ValueError(f"n must be positive, got {_digits(n)}")
     _check_count_prints(args.what, n)
     sys.stdout.write(f"{_count(args.what, n, args.brute)}\n")
     return 0

@@ -54,6 +54,14 @@ def _digits(v: int) -> str:
     return f"{sign}{digits[:_QUOTE_LIMIT]}... ({len(digits)} digits)"
 
 
+def _quote(fragment: str) -> str:
+    """``repr`` of an input fragment or setting, cut to ``_QUOTE_LIMIT``
+    characters plus the full length, so that its message stays short."""
+    if len(fragment) <= _QUOTE_LIMIT:
+        return repr(fragment)
+    return f"{fragment[:_QUOTE_LIMIT]!r}... ({len(fragment)} characters)"
+
+
 @dataclass(frozen=True)
 class Matching:
     """A complete matching on 2n points, stored as a partner table.
@@ -247,7 +255,7 @@ def _word_nestings(word: str) -> int:
     """ne(nc(w)) of an LR word w: the sum, over its closing steps, of the
     arcs still open around the one that closes. Raises ``ValueError`` unless
     w is a Dyck word over L and R (every prefix has at least as many L as R,
-    and the totals agree); O(n)."""
+    and the totals agree); O(n). ``matching_from_lr`` is its one library caller."""
     depth = total = 0
     for i, c in enumerate(word):
         if c == "L":

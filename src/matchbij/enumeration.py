@@ -16,7 +16,7 @@ import os
 from math import comb, inf, lgamma, log
 from typing import Iterator
 
-from .core import Matching, NCNTriple, _nested_pairs, _pair_by_stack
+from .core import Matching, NCNTriple, _digits, _nested_pairs, _pair_by_stack, _quote
 
 __all__ = [
     "EnumerationCapError",
@@ -55,7 +55,7 @@ def enum_cap() -> int:
         cap = 0
     if cap < 1:
         raise EnumerationCapError(
-            f"MATCHBIJ_ENUM_CAP must be a positive integer, got {raw!r}"
+            f"MATCHBIJ_ENUM_CAP must be a positive integer, got {_quote(raw)}"
         )
     return cap
 
@@ -64,7 +64,7 @@ def double_factorial(m: int) -> int:
     """(m)!! for odd positive m; counts complete matchings when m = 2n - 1.
     O(m) small multiplications on a product of O(m log m) digits: O(m^2 log m)."""
     if m < 1 or m % 2 == 0:
-        raise ValueError(f"double factorial defined here for odd positive m, got {m}")
+        raise ValueError(f"double factorial defined here for odd positive m, got {_digits(m)}")
     out = 1
     for k in range(3, m + 1, 2):
         out *= k
@@ -74,7 +74,7 @@ def double_factorial(m: int) -> int:
 def catalan(n: int) -> int:
     """The nth Catalan number, counting noncrossing matchings; O(n^2) at most."""
     if n < 0:
-        raise ValueError(f"catalan defined for n >= 0, got {n}")
+        raise ValueError(f"catalan defined for n >= 0, got {_digits(n)}")
     return comb(2 * n, n) // (n + 1)
 
 
@@ -112,7 +112,7 @@ def _check_cap(n: int, cap: int, what: str) -> None:
                 else f"has about {int(digits) + 1} digits" if digits < inf
                 else "is too large to estimate")
         raise EnumerationCapError(
-            f"n={n} exceeds the enumeration cap {cap} for {what}: {name} "
+            f"n={_digits(n)} exceeds the enumeration cap {_digits(cap)} for {what}: {name} "
             f"{size} at this size (set MATCHBIJ_ENUM_CAP to raise the cap)"
         )
 
@@ -126,7 +126,7 @@ def all_matchings(n: int) -> Iterator[Matching]:
     O(n) per element, most of it building and validating the ``Matching``.
     """
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise ValueError(f"n must be positive, got {_digits(n)}")
     _check_cap(n, enum_cap(), "full enumeration")
     size = 2 * n
     partner = [-1] * size
@@ -167,7 +167,7 @@ def _walk(n: int) -> Iterator[tuple[int, int]]:
     operations on ints of 2n bits: amortized O(1) of them per element.
     """
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise ValueError(f"n must be positive, got {_digits(n)}")
     _check_cap(n, enum_cap(), "full enumeration")
 
     def walk() -> Iterator[tuple[int, int]]:
@@ -207,7 +207,7 @@ def noncrossing_matchings(n: int) -> Iterator[Matching]:
     order (L before R) from L^n R^n: the next word turns the last L with an arc
     open before it into R and moves the Ls after it left. Amortized O(n) each."""
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise ValueError(f"n must be positive, got {_digits(n)}")
     _check_cap(n, enum_cap() + NONCROSSING_CAP_EXTRA, "noncrossing enumeration")
     size = 2 * n
     is_left = [True] * n + [False] * n

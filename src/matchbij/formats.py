@@ -18,7 +18,7 @@ chosen.
 from itertools import islice
 from typing import Optional
 
-from .core import _QUOTE_LIMIT, InvalidMatchingError, Matching, NCNTriple, _digits, from_pairs
+from .core import InvalidMatchingError, Matching, NCNTriple, _digits, _quote, from_pairs
 
 __all__ = [
     "ParseError",
@@ -54,14 +54,6 @@ class ParseError(ValueError):
         super().__init__(where + message)
         self.line = line
         self.column = column
-
-
-def _quote(fragment: str) -> str:
-    """``repr`` of an input fragment, cut to ``_QUOTE_LIMIT`` characters plus
-    the full length, so that a message about a long line stays short."""
-    if len(fragment) <= _QUOTE_LIMIT:
-        return repr(fragment)
-    return f"{fragment[:_QUOTE_LIMIT]!r}... ({len(fragment)} characters)"
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:

@@ -12,11 +12,10 @@ exact before it is performed.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from .core import Matching, _scan
+from .core import Matching, _digits, _scan
 from .enumeration import all_matchings
 
 __all__ = [
@@ -28,24 +27,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HairpinDecomposition:
+class HairpinDecomposition(NamedTuple):
     """The inflated hairpin (A, B) of a matching.
 
     ``a_side`` holds the smaller labels, ``b_side`` the larger; both are
-    sorted. A noncrossing matching gets the empty decomposition: both sides
-    empty.
+    sorted, and both are empty (for a noncrossing matching) or nonempty.
+    Built only by ``find_inflated_hairpin``, so construction checks nothing.
     """
 
     a_side: tuple[int, ...]
     b_side: tuple[int, ...]
-
-    def __post_init__(self):
-        if bool(self.a_side) != bool(self.b_side):
-            raise ValueError(
-                f"hairpin sides must be both empty or both nonempty, got "
-                f"A = {self.a_side}, B = {self.b_side}"
-            )
 
 
 def _labels(mask: int) -> tuple[int, ...]:
@@ -110,12 +101,13 @@ def is_lp(m: Matching) -> bool:
 def lp_count_formula(n: int) -> int:
     """Exact count of L & P matchings with n edges by the closed form; O(n^2) at most."""
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise ValueError(f"n must be positive, got {_digits(n)}")
     numerator = (3 * n - 1) * comb(2 * n, n)
     denominator = 2 * n + 2
     if numerator % denominator:
         raise ValueError(
-            f"(3n-1)*C(2n,n) = {numerator} is not divisible by 2n+2 = {denominator}"
+            f"(3n-1)*C(2n,n) = {_digits(numerator)} is not divisible by "
+            f"2n+2 = {_digits(denominator)}"
         )
     return 2 * 4 ** (n - 1) - numerator // denominator
 

@@ -9,7 +9,7 @@ from bisect import bisect_right
 from math import isfinite
 from typing import Iterator, Optional
 
-from .core import Matching, edges
+from .core import Matching, _digits, edges
 
 __all__ = ["render", "render_text", "render_svg"]
 
@@ -78,7 +78,7 @@ def render_svg(m: Matching, labels: bool = False,
     coordinate would not be finite raises ValueError."""
     for setting, value in (("width", width), ("height", height)):
         if value is not None and value < 1:
-            raise ValueError(f"{setting} must be a positive integer, got {value}")
+            raise ValueError(f"{setting} must be a positive integer, got {_digits(value)}")
         if value is not None and value > sys.float_info.max:
             raise ValueError(f"{setting} is too large to draw: the largest is "
                              f"{sys.float_info.max:g}")

@@ -8,9 +8,9 @@ swap sequence; one per class.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import Matching, _word_nestings, lr_sequence, stats
+from .core import Matching, lr_sequence, stats
 from .bijections import NotRepresentativeError, _swap_walk, tau_inv
 from .enumeration import _walk, _walk_word, noncrossing_matchings
 
@@ -24,26 +24,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClassKey:
+class ClassKey(NamedTuple):
     """The invariant pair (LR word, nesting count) naming a similarity class;
-    construction checks that some matching has both, in O(n)."""
+    built only by ``class_key`` and ``census``, so construction checks nothing."""
 
     lr: str
     ne: int
-
-    def __post_init__(self):
-        if self.ne < 0:
-            raise ValueError(f"nesting count must be nonnegative, got {self.ne}")
-        if not self.lr:
-            raise ValueError("LR word must be nonempty")
-        # The noncrossing matching maximizes nestings for its LR word.
-        ceiling = _word_nestings(self.lr)
-        if self.ne > ceiling:
-            raise ValueError(
-                f"no matching with word {self.lr} has {self.ne} nestings "
-                f"(maximum is {ceiling})"
-            )
 
 
 def class_key(m: Matching) -> ClassKey:
@@ -60,7 +46,7 @@ def census(n: int) -> tuple[int, dict[ClassKey, int]]:
     number of classes rather than the double factorial. The walk carries each
     matching's LR word (as a mask) and nesting count, amortized O(1) int
     operations per matching at enumerable sizes; each class then costs O(n)
-    to spell its word and O(n) to check it as a ``ClassKey``.
+    to spell its word.
     """
     counts = Counter(_walk(n))  # keys in first-seen order
     return len(counts), {

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from matchbij import enumeration
+from matchbij import enumeration, verify
 from matchbij import (
     FORMATS,
     all_matchings,
@@ -28,6 +28,33 @@ LP_PAIRS = "7\n0 9\n1 6\n2 3\n4 13\n5 10\n7 8\n11 12\n"
 NC_PAIRS = "7\n0 13\n1 10\n2 3\n4 9\n5 6\n7 8\n11 12\n"
 REP_PAIRS = "7\n0 3\n1 9\n2 6\n4 10\n5 13\n7 8\n11 12\n"
 COUNTED = ["matchings", "noncrossing", "lp", "classes", "ncn"]
+
+# Inputs whose error message quotes a 4000-digit number or a long setting:
+# (argv, stdin, exit code, MATCHBIJ_ENUM_CAP or None, the counts it names).
+BIG = "9" * 4000
+HUGE_NUMBER_CASES = [
+    pytest.param(["classify"], "1\n0 " + BIG + "\n", 2, None, ["4000 digits"], id="position"),
+    pytest.param(["classify"], BIG + "\n0 1\n", 2, None, ["4000 digits"], id="count"),
+    pytest.param(["classify"], "-" + BIG + "\n0 1\n", 2, None, ["4000 digits"],
+                 id="negative-count"),
+    pytest.param(["classify"], BIG + " 0\n", 2, None, ["4000 digits"], id="partner"),
+    pytest.param(["map", "tau"], "2\n0 3\n1 2\nnesting " + BIG + " 2\n", 2, None,
+                 ["4000 digits"], id="label"),
+    *[pytest.param(["count", what, "--n", sign + BIG, *brute], "", 1, None, ["4000 digits"],
+                   id="-".join(["count", what, *["negative"][:len(sign)], *["brute"][:len(brute)]]))
+      for what in COUNTED for sign in ("", "-") for brute in ([], ["--brute"])],
+    *[pytest.param([command, *family, "--n", sign + BIG], "", 1, None, ["4000 digits"],
+                   id="-".join([command, *family, *["negative"][:len(sign)]]))
+      for command, family in [("enumerate", ["all"]), ("enumerate", ["noncrossing"]),
+                              ("enumerate", ["lp"]), ("enumerate", ["ns"]), ("verify", [])]
+      for sign in ("", "-")],
+    *[pytest.param(["render", "--format", "svg", flag, "-" + BIG], LP_PAIRS, 1, None,
+                   ["4000 digits"], id=f"render-{flag[2:]}") for flag in ("--width", "--height")],
+    pytest.param(["count", "matchings", "--n", "2", "--brute"], "", 1, "x" * 10 ** 5,
+                 ["100000 characters"], id="env-cap"),
+    pytest.param(["enumerate", "all", "--n", BIG], "", 1, "9" * 1000,
+                 ["4000 digits", "1000 digits"], id="n-past-a-long-cap"),
+]
 
 
 @pytest.fixture
@@ -337,6 +364,13 @@ class TestVerify:
         assert code == 0
         assert all(line.startswith("PASS lp/") for line in out.splitlines())
 
+    def test_failing_check_prints_fail_and_exits_one(self, cli, monkeypatch):
+        first = next(all_matchings(3))
+        monkeypatch.setattr(verify, "alignments", lambda m: (-1, []))
+        code, out, err = cli(["verify", "--n", "3", "--suite", "core"])
+        assert (code, err) == (1, "")
+        assert f"FAIL core/pair-partition: partition fails on {first}\n" in out
+
 
 class TestRender:
     def test_text(self, cli):
@@ -457,18 +491,15 @@ class TestExitCodes:
         monkeypatch.setattr("sys.stdout", ClosedPipe())
         assert run(["count", "lp", "--n", "3"]) == 0
 
-    @pytest.mark.parametrize("command,stdin", [
-        ("classify", "1\n0 " + "9" * 4000 + "\n"),  # a pair-list position
-        ("classify", "9" * 4000 + "\n0 1\n"),  # the edge count
-        ("classify", "-" + "9" * 4000 + "\n0 1\n"),
-        ("classify", "9" * 4000 + " 0\n"),  # a partner-array entry
-        ("tau", "2\n0 3\n1 2\nnesting " + "9" * 4000 + " 2\n"),  # a nesting label
-    ], ids=["position", "count", "negative-count", "partner", "label"])
-    def test_huge_numbers_are_cut_in_messages(self, cli, command, stdin):
-        code, out, err = cli(["map", command] if command == "tau" else [command], stdin)
-        assert (code, out) == (2, "")
+    @pytest.mark.parametrize("argv,stdin,exit_code,cap,cut", HUGE_NUMBER_CASES)
+    def test_huge_numbers_are_cut_in_messages(self, cli, monkeypatch, argv, stdin, exit_code,
+                                              cap, cut):
+        if cap is not None:
+            monkeypatch.setenv("MATCHBIJ_ENUM_CAP", cap)
+        code, out, err = cli(argv, stdin)
+        assert (code, out) == (exit_code, "")
         assert err.count("\n") == 1 and len(err) < 300
-        assert "... (4000 digits)" in err
+        assert all(f"... ({count})" in err for count in cut)
 
     def test_env_cap_override(self, cli, monkeypatch):
         monkeypatch.setenv("MATCHBIJ_ENUM_CAP", "3")
@@ -504,6 +535,7 @@ class TestExitCodes:
         ["enumerate", "all", "--n", "200000"],
         ["enumerate", "ns", "--n", "2000"],
         ["enumerate", "all", "--n", "1" + "0" * 400],
+        ["enumerate", "noncrossing", "--n", "1" + "0" * 400],
     ])
     def test_cap_message_at_large_n_never_computes_the_count(self, cli, monkeypatch, argv):
         def refuse(m):
@@ -514,7 +546,8 @@ class TestExitCodes:
         code, out, err = cli(argv)
         assert time.perf_counter() - start < 5
         assert (code, out) == (1, "")
-        assert err.startswith(f"error: n={argv[-1]} exceeds the enumeration cap")
+        n = argv[-1] if len(argv[-1]) <= 40 else f"{argv[-1][:40]}... ({len(argv[-1])} digits)"
+        assert err.startswith(f"error: n={n} exceeds the enumeration cap")
         assert "MATCHBIJ_ENUM_CAP" in err and err.count("\n") == 1
 
 

@@ -1,7 +1,6 @@
 import pytest
 
 from matchbij import (
-    ClassKey,
     Edge,
     InvalidMatchingError,
     LabeledMatching,
@@ -94,30 +93,22 @@ class TestLRSequence:
     def test_seven_edges(self, nc_example):
         assert lr_sequence(nc_example) == "LLLRLLRLRRRLRR"
 
-    # matching_from_lr and ClassKey both check the word.
+    # matching_from_lr checks a word from outside where it enters.
     def test_validation_rejects_unmatched_r(self):
         with pytest.raises(ValueError, match="unmatched R at index 0"):
             matching_from_lr("RL")
-        with pytest.raises(ValueError, match="unmatched R at index 2"):
-            ClassKey("LRRL", 0)
 
     def test_validation_rejects_leftover_l(self):
         with pytest.raises(ValueError, match="1 unmatched L symbols"):
             matching_from_lr("LLR")
-        with pytest.raises(ValueError, match="2 unmatched L symbols"):
-            ClassKey("LLLR", 0)
 
     def test_validation_rejects_alphabet(self):
         with pytest.raises(ValueError, match="invalid symbol 'X' at index 1"):
             matching_from_lr("LX")
-        with pytest.raises(ValueError, match="invalid symbol 'r' at index 1"):
-            ClassKey("Lr", 0)
 
     def test_empty_word_rejected(self):
         with pytest.raises(InvalidMatchingError, match="edge count must be positive"):
             matching_from_lr("")
-        with pytest.raises(ValueError, match="nonempty"):
-            ClassKey("", 0)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_word_nestings_is_the_noncrossing_nesting_count(self, n):
@@ -228,3 +219,11 @@ class TestLabeledMatching:
     def test_rejects_gaps_in_positions(self):
         with pytest.raises(InvalidMatchingError, match="positions"):
             LabeledMatching((Edge(1, 0, 3),))
+
+    def test_rejects_no_edges(self):
+        with pytest.raises(InvalidMatchingError, match="needs at least one edge"):
+            LabeledMatching(())
+
+    def test_rejects_inverted_edge(self):
+        with pytest.raises(InvalidMatchingError, match="edge 1 has left endpoint 1 >= right 0"):
+            LabeledMatching((Edge(1, 1, 0),))

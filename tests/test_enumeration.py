@@ -272,3 +272,5 @@ class TestCaps:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             next(all_matchings(0))
+        with pytest.raises(ValueError, match="^n must be positive, got 0$"):
+            next(noncrossing_matchings(0))

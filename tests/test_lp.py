@@ -12,7 +12,6 @@ from matchbij import (
     lp_count_formula,
 )
 from matchbij import lp
-from matchbij.lp import HairpinDecomposition
 from matchbij.verify import mirror
 
 
@@ -51,13 +50,18 @@ class TestFindInflatedHairpin:
     def test_two_separate_hairpins_rejected(self):
         assert find_inflated_hairpin(from_pairs([(0, 2), (1, 3), (4, 6), (5, 7)], 4)) is None
 
+    def test_sides_are_both_empty_or_both_nonempty(self):
+        # The constructor checks nothing, so every decomposition the library
+        # builds must have both sides empty exactly when m is noncrossing.
+        for n in range(1, 7):
+            for m in all_matchings(n):
+                d = find_inflated_hairpin(m)
+                if d is not None:
+                    assert (bool(d.a_side), bool(d.b_side)) == (not is_noncrossing(m),) * 2, m
+
 
 class TestRuntimeChecks:
     """The invariant checks raise ValueError, so ``python -O`` keeps them."""
-
-    def test_decomposition_rejects_one_sided_hairpin(self):
-        with pytest.raises(ValueError, match="both empty or both nonempty"):
-            HairpinDecomposition((1,), ())
 
     def test_inexact_division(self, monkeypatch):
         monkeypatch.setattr(lp, "comb", lambda a, b: 1)

@@ -1,7 +1,6 @@
 import pytest
 
 from matchbij import (
-    ClassKey,
     census,
     class_key,
     from_pairs,
@@ -12,6 +11,7 @@ from matchbij import (
     ns_stream,
     stats,
 )
+from matchbij.core import _word_nestings
 
 
 class TestClassKey:
@@ -28,11 +28,12 @@ class TestClassKey:
         key = class_key(rep_example)
         assert (key.lr, key.ne) == ("LLLRLLRLRRRLRR", 5)
 
-    def test_rejects_impossible_nesting_count(self):
-        with pytest.raises(ValueError, match="maximum is 1"):
-            ClassKey("LLRR", 2)
-        with pytest.raises(ValueError, match="nonnegative"):
-            ClassKey("LLRR", -1)
+    def test_library_keys_have_possible_nesting_counts(self):
+        # The constructor checks nothing, so every key the library builds
+        # must name a Dyck word and a count some matching with it has.
+        for n in range(1, 7):
+            for key in [*census(n)[1], *map(class_key, ns_representatives(n))]:
+                assert key.lr and 0 <= key.ne <= _word_nestings(key.lr), key
 
 
 class TestCensus:

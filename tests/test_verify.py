@@ -1,8 +1,13 @@
-from dataclasses import replace
-
 import pytest
 
-from matchbij import all_matchings, from_pairs, is_lp, is_noncrossing, lr_sequence
+from matchbij import (
+    all_matchings,
+    from_pairs,
+    is_lp,
+    is_noncrossing,
+    lr_sequence,
+    noncrossing_matchings,
+)
 from matchbij import verify
 from matchbij.verify import SUITES, mirror, run_suite
 
@@ -70,7 +75,7 @@ def test_swap_checks_recount_a_wrong_step(monkeypatch):
         steps = tuple(real(m))
         if len(steps) < 3:
             return steps
-        return (steps[0], replace(steps[0], swapped=steps[1].swapped), *steps[2:])
+        return (steps[0], steps[0]._replace(swapped=steps[1].swapped), *steps[2:])
 
     monkeypatch.setattr(verify, "swap_sequence", wrong_step_one)
     results = _results(4, "bijections")
@@ -211,3 +216,82 @@ def test_projection_fault_names_the_first_matching_projecting_there(monkeypatch)
     for check in ("pair-partition", "lr-preserved-by-projection", "edge-list-roundtrip"):
         assert results[f"core/{check}"] == (True, "checked 105 matchings")
     assert results["core/projection-maximizes-nestings"][0]
+
+
+def test_walked_checks_name_the_matching_they_fail_on(monkeypatch):
+    target = next(m for m in list(all_matchings(4))[7:] if not is_noncrossing(m))
+    align, pairs, noncrossing = verify.alignments, verify.from_pairs, verify.is_noncrossing
+    monkeypatch.setattr(verify, "alignments", lambda m: (align(m)[0] + (m == target), []))
+    monkeypatch.setattr(verify, "is_noncrossing", lambda m: m == target or noncrossing(m))
+
+    def lose_target(pair_list, n):
+        m = pairs(pair_list, n)
+        return None if m == target else m
+
+    monkeypatch.setattr(verify, "from_pairs", lose_target)
+    results = _results(4, "core")
+    assert results["core/pair-partition"] == (False, f"partition fails on {target}")
+    assert results["core/projection-idempotent"] == (False, f"fixed-point mismatch on {target}")
+    assert results["core/edge-list-roundtrip"] == (
+        False, f"edge-list round trip fails on {target}")
+    assert results["core/lr-preserved-by-projection"] == (True, "checked 105 matchings")
+
+
+def test_rperm_check_names_the_pair_out_of_order(monkeypatch):
+    ladder = next(noncrossing_matchings(4))  # LLLLRRRR: every pair nests
+    monkeypatch.setattr(verify, "rperm", lambda m: tuple(range(1, m.n + 1)))
+    assert _results(4, "core")["core/rperm-detects-nestings"] == (
+        False, f"rperm order test fails on {ladder} at (1,2)")
+
+
+def test_swap_check_names_a_wrong_pair_list(monkeypatch):
+    ladder = next(noncrossing_matchings(4))
+    real = verify.nep
+    monkeypatch.setattr(verify, "nep", lambda m: real(m)[::-1])
+    assert _results(4, "bijections")["bijections/swap-trace-nesting-counts"] == (
+        False, f"nested-pair list at step 0 of {ladder} is wrong")
+
+
+def test_sigma_checks_fail_on_a_constant_map(monkeypatch):
+    first = next(m for m in all_matchings(4) if is_lp(m))  # LRLRLRLR
+    ladder = next(noncrossing_matchings(4))
+    monkeypatch.setattr(verify, "sigma", lambda m: ladder)
+    results = _results(4, "bijections")
+    assert results["bijections/sigma-preserves-lr"] == (
+        False, f"sigma changes the LR word of {first}")
+    assert results["bijections/sigma-image-is-representative-set"] == (
+        False, "sigma images collide")
+
+
+def test_census_checks_fail_on_a_lost_class(monkeypatch):
+    real = verify.census
+
+    def lose_one(n):
+        count, table = real(n)
+        del table[next(iter(table))]
+        return count - 1, table
+
+    monkeypatch.setattr(verify, "census", lose_one)
+    assert _results(4, "similarity") == {
+        "similarity/class-count-matches-formula": (False, "census count 50 != formula 51"),
+        "similarity/representative-keys-biject": (
+            False, "representative keys do not cover the census"),
+        "similarity/swap-steps-cover-all-classes": (False, "constructive coverage misses a class"),
+    }
+
+
+def test_key_check_fails_on_a_shared_key(monkeypatch):
+    monkeypatch.setattr(verify, "class_key", lambda m: ("LR", 0))
+    assert _results(4, "similarity")["similarity/representative-keys-biject"] == (
+        False, "two representatives share a class key")
+
+
+@pytest.mark.parametrize("count,message", [
+    ("double_factorial", "full stream yields 105"),
+    ("catalan", "noncrossing stream yields 14"),
+    ("lp_count_formula", "triple stream yields 51"),
+])
+def test_stream_count_check_names_the_stream_that_differs(monkeypatch, count, message):
+    monkeypatch.setattr(verify, count, lambda n: 0)
+    assert _results(4, "enumeration") == {
+        "enumeration/stream-lengths-match-counts": (False, message)}
