@@ -10,16 +10,14 @@ import argparse
 import sys
 from functools import cache
 from itertools import islice
-from math import exp, inf, lgamma, log, log1p
 from typing import Optional
 
-from .core import _digits, _scan, lr_sequence
+from .core import _digits, _quote, _scan, lr_sequence
 from .lp import _hairpin, enumerate_lp, lp_count_formula
 from .bijections import phi, phi_inv, sigma, sigma_inv, tau, tau_inv
 from .similarity import census, ns_stream
 from .enumeration import (
-    _ln_catalan,
-    _ln_matchings,
+    _size_digits,
     all_matchings,
     catalan,
     double_factorial,
@@ -40,6 +38,15 @@ from .verify import SUITES, run_suite
 __all__ = ["build_parser", "run", "main"]
 
 
+def _int(text: str) -> int:
+    """An integer option's value; a refusal quotes at most ``_quote``'s
+    limit of it, where argparse's own ``type=int`` echoes it whole."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchbij",
@@ -50,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="print an exact count")
     p.add_argument("what", choices=["matchings", "noncrossing", "lp", "classes", "ncn"])
-    p.add_argument("--n", type=int, required=True, metavar="N")
+    p.add_argument("--n", type=_int, required=True, metavar="N")
     p.add_argument("--brute", action="store_true",
                    help="count by exhaustive enumeration instead of the closed form")
 
@@ -67,19 +74,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream a whole family")
     p.add_argument("family", choices=["all", "noncrossing", "lp", "ns"])
-    p.add_argument("--n", type=int, required=True, metavar="N")
+    p.add_argument("--n", type=_int, required=True, metavar="N")
     p.add_argument("--format", choices=FORMATS, default="partner")
 
     p = sub.add_parser("verify", help="run exhaustive invariant suites")
-    p.add_argument("--n", type=int, required=True, metavar="N")
+    p.add_argument("--n", type=_int, required=True, metavar="N")
     p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
 
     p = sub.add_parser("render", help="draw an arc diagram")
     p.add_argument("--in", dest="infile", metavar="FILE")
     p.add_argument("--format", choices=["text", "svg"], default="text")
     p.add_argument("--labels", action="store_true", help="draw edge labels")
-    p.add_argument("--width", type=int, help="SVG width (svg format only)")
-    p.add_argument("--height", type=int, help="SVG height (svg format only)")
+    p.add_argument("--width", type=_int, help="SVG width (svg format only)")
+    p.add_argument("--height", type=_int, help="SVG height (svg format only)")
 
     return parser
 
@@ -103,17 +110,22 @@ def _check_options(parser: argparse.ArgumentParser, args) -> None:
 
 
 def _read_input(infile: Optional[str]) -> str:
-    if infile:
-        try:
+    """The text of ``infile``, or of stdin. A stdin with a byte ``buffer`` is
+    decoded here as strictly as a file is, without newline translation; a
+    text stream without one (a ``StringIO``) is read as it is."""
+    source = infile or "stdin"
+    try:
+        if infile:
             with open(infile, "r", encoding="utf-8") as handle:
                 return handle.read()
-        except OSError as exc:  # missing, a directory, unreadable
-            raise ParseError(f"cannot read {infile}: {exc.strerror}") from exc
-        except UnicodeDecodeError as exc:
-            line = exc.object.count(b"\n", 0, exc.start) + 1
-            raise ParseError(f"cannot read {infile}: byte 0x{exc.object[exc.start]:02x} "
-                             f"on line {line} is not UTF-8") from None
-    return sys.stdin.read()
+        buffer = getattr(sys.stdin, "buffer", None)
+        return sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ParseError(f"cannot read {source}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"cannot read {source}: byte 0x{exc.object[exc.start]:02x} "
+                         f"on line {line} is not UTF-8") from None
 
 
 # The most digits ``count`` computes, whatever the interpreter's digit limit.
@@ -123,22 +135,12 @@ _MAX_COUNT_DIGITS = 10 ** 6
 
 
 def _check_count_prints(what: str, n: int) -> None:
-    """Refuse a count too long to print, judged from n through lgamma before
-    the count is computed: a ValueError past the interpreter's digit limit
-    or past _MAX_COUNT_DIGITS."""
+    """Refuse a count too long to print, judged from n through
+    ``_size_digits`` before the count is computed: a ValueError past the
+    interpreter's digit limit or past _MAX_COUNT_DIGITS."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    try:
-        if what == "matchings":
-            ln_count = _ln_matchings(n)
-        elif what == "noncrossing":
-            ln_count = _ln_catalan(n)
-        else:  # lp, classes and ncn all count 2^(2n-1) - (3n-1)/(2n+2) C(2n, n)
-            ln_central = lgamma(2 * n + 1) - 2 * lgamma(n + 1)  # ln C(2n, n)
-            ln_top = (2 * n - 1) * log(2)
-            ln_count = ln_top + log1p(-(3 * n - 1) / (2 * n + 2) * exp(ln_central - ln_top))
-        digits = ln_count / log(10)
-    except OverflowError:  # n is too large for a float
-        digits = inf
+    # lp, classes and ncn all count the L & P matchings.
+    digits = _size_digits(what if what in ("matchings", "noncrossing") else "lp", n)
     if limit and digits >= limit:
         raise ValueError(
             f"count {what} --n {_digits(n)} has more than {limit} digits, the interpreter's "

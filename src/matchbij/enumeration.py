@@ -13,7 +13,7 @@ slightly larger sizes than the full double-factorial ones.
 """
 
 import os
-from math import comb, inf, lgamma, log
+from math import comb, exp, inf, lgamma, log, log1p
 from typing import Iterator
 
 from .core import Matching, NCNTriple, _digits, _nested_pairs, _pair_by_stack, _quote
@@ -78,36 +78,39 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def _ln_matchings(n: int) -> float:
-    # ln (2n-1)!! = ln (2n)! - ln n! - n ln 2, without computing the number.
+def _size_digits(family: str, n: int) -> float:
+    """The decimal digits, as a float, of the size of ``family`` at n:
+    "matchings" (2n-1)!!, "noncrossing" Catalan(n) or "lp"
+    2^(2n-1) - (3n-1)/(2n+2) C(2n, n), estimated through lgamma without
+    computing the number; inf past float range. O(1)."""
     try:
-        return lgamma(2 * n + 1) - lgamma(n + 1) - n * log(2)
+        if family == "matchings":  # ln (2n)! - ln n! - n ln 2
+            ln_count = lgamma(2 * n + 1) - lgamma(n + 1) - n * log(2)
+        elif family == "noncrossing":  # ln (2n)! - 2 ln n! - ln (n + 1)
+            ln_count = lgamma(2 * n + 1) - 2 * lgamma(n + 1) - log(n + 1)
+        else:
+            ln_central = lgamma(2 * n + 1) - 2 * lgamma(n + 1)  # ln C(2n, n)
+            ln_top = (2 * n - 1) * log(2)
+            ln_count = ln_top + log1p(-(3 * n - 1) / (2 * n + 2) * exp(ln_central - ln_top))
+        return ln_count / log(10)
     except OverflowError:  # n is too large for a float
         return inf
 
 
-def _ln_catalan(n: int) -> float:
-    # ln Catalan(n) = ln (2n)! - 2 ln n! - ln (n + 1).
-    try:
-        return lgamma(2 * n + 1) - 2 * lgamma(n + 1) - log(n + 1)
-    except OverflowError:  # n is too large for a float
-        return inf
-
-
-# The streams behind each cap: how their size is written, its logarithm,
+# The streams behind each cap: how their size is written, its family,
 # its exact value, and what it counts.
 _CAPPED = {
     "full enumeration":
-        ("(2n-1)!!", _ln_matchings, lambda n: double_factorial(2 * n - 1), "matchings"),
+        ("(2n-1)!!", "matchings", lambda n: double_factorial(2 * n - 1), "matchings"),
     "noncrossing enumeration":
-        ("Catalan(n)", _ln_catalan, catalan, "noncrossing matchings"),
+        ("Catalan(n)", "noncrossing", catalan, "noncrossing matchings"),
 }
 
 
 def _check_cap(n: int, cap: int, what: str) -> None:
     if n > cap:
-        name, ln_count, count, noun = _CAPPED[what]
-        digits = ln_count(n) / log(10)
+        name, family, count, noun = _CAPPED[what]
+        digits = _size_digits(family, n)
         size = (f"= {count(n)} {noun}" if digits < 30
                 else f"has about {int(digits) + 1} digits" if digits < inf
                 else "is too large to estimate")

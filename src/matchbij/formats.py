@@ -18,7 +18,7 @@ chosen.
 from itertools import islice
 from typing import Optional
 
-from .core import InvalidMatchingError, Matching, NCNTriple, _digits, _quote, from_pairs
+from .core import InvalidMatchingError, Matching, NCNTriple, _digits, _quote
 
 __all__ = [
     "ParseError",
@@ -73,9 +73,9 @@ def parse_pairs(text: str) -> Matching:
 
 def _pairs(lines: list[tuple[int, str]]) -> Matching:
     """The per-line pair-list walk over content lines: it names the line at
-    fault. O(L) time for L characters; with every line, its pair and a
-    position dict held at once, about 2.5 times the memory of
-    ``_read_pair_list``."""
+    fault. Each pair goes into one partner table as its line is read; the
+    line of a repeated position's first use is looked up once one is found.
+    O(L) time for L characters, with the lines and the table held at once."""
     if not lines:
         raise ParseError("empty input")
     lineno, head = lines[0]
@@ -89,8 +89,9 @@ def _pairs(lines: list[tuple[int, str]]) -> Matching:
     if len(body) != n:
         raise ParseError(f"expected {_digits(n)} pair lines, found {len(body)}",
                          line=lineno)
-    pairs = []
-    seen: dict[int, int] = {}
+    if n < 1:
+        raise ParseError(f"edge count must be positive, got {n}", line=lineno)
+    partner = [-1] * (2 * n)
     for lineno, line in body:
         tokens = line.split()
         if len(tokens) != 2:
@@ -99,20 +100,18 @@ def _pairs(lines: list[tuple[int, str]]) -> Matching:
             a, b = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise ParseError(f"non-integer position in {_quote(line)}", line=lineno) from None
-        for v in (a, b):
+        for v, w in ((a, b), (b, a)):
             if not 0 <= v < 2 * n:
                 raise ParseError(f"position {_digits(v)} out of range 0..{2 * n - 1}",
                                  line=lineno)
-            if v in seen:
+            if partner[v] >= 0:
+                first = next(no for no, text in body if v in map(int, text.split()))
                 raise ParseError(
-                    f"duplicate position {v} (first used on line {seen[v]})",
+                    f"position {v} is matched to itself" if first == lineno
+                    else f"duplicate position {v} (first used on line {first})",
                     line=lineno)
-            seen[v] = lineno
-        pairs.append((a, b))
-    try:
-        return from_pairs(pairs, n)
-    except InvalidMatchingError as exc:  # anything the scan above missed
-        raise ParseError(str(exc)) from None
+            partner[v] = w
+    return Matching(n, tuple(partner))
 
 
 # The characters of a plain text, checked in pieces of _PIECE characters:
@@ -207,7 +206,7 @@ def _dotbracket(lines: list[tuple[int, str]]) -> Matching:
                          line=lines[1][0])
     lineno, body = lines[0]
     stacks: dict[int, list[int]] = {}
-    pairs = []
+    partner = [0] * len(body)
     for i, c in enumerate(body):
         fam = _OPEN.find(c)
         if fam >= 0:
@@ -220,13 +219,14 @@ def _dotbracket(lines: list[tuple[int, str]]) -> Matching:
         if not stack:
             raise ParseError(f"unbalanced {c!r} with no matching {_OPEN[fam]!r}",
                              line=lineno, column=i + 1)
-        pairs.append((stack.pop(), i))
+        j = stack.pop()
+        partner[i], partner[j] = j, i
     for fam, stack in stacks.items():
         if stack:
             raise ParseError(
                 f"unclosed {_OPEN[fam]!r}", line=lineno, column=stack[-1] + 1)
     # A decode that succeeds pairs every character.
-    return from_pairs(pairs, len(body) // 2)
+    return Matching(len(body) // 2, tuple(partner))
 
 
 def parse_input(text: str) -> Matching:

@@ -483,6 +483,38 @@ class TestExitCodes:
         assert cli(["classify", "--in", str(path)]) == (
             2, "", f"error: cannot read {path}: byte 0xff on line 3 is not UTF-8\n")
 
+    def test_stdin_not_utf8(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"2\n0 2\n1 \xff3\n")))
+        assert run(["classify"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: cannot read stdin: byte 0xff on line 3 is not UTF-8\n")
+
+    @pytest.mark.parametrize("encoding", [None, "utf-8:strict"])
+    def test_stdin_not_utf8_in_a_process(self, encoding):
+        # Whatever errors handler the interpreter gives sys.stdin.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        env["PYTHONPATH"] = str(src)
+        if encoding:
+            env["PYTHONIOENCODING"] = encoding
+        done = subprocess.run([sys.executable, "-m", "matchbij", "classify"], input=b"\xff",
+                              capture_output=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, b"", b"error: cannot read stdin: byte 0xff on line 1 is not UTF-8\n")
+
+    @pytest.mark.parametrize("value,quoted", [
+        ("12x", "'12x'"), (BIG + "x", f"'{BIG[:40]}'... (4001 characters)")],
+        ids=["short", "long"])
+    @pytest.mark.parametrize("argv", [["count", "lp", "--n"],
+                                      ["render", "--format", "svg", "--width"]])
+    def test_int_values_are_quoted_as_input_is(self, cli, argv, value, quoted):
+        # argparse's usage lines, then one error line that quotes at most 40
+        # characters of the value.
+        code, out, err = cli([*argv, value], LP_PAIRS)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {argv[-1]}: invalid int value: {quoted}\n")
+        assert len(err) < 300
+
     def test_broken_pipe_exits_zero(self, monkeypatch):
         class ClosedPipe:
             def write(self, text):

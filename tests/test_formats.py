@@ -195,7 +195,20 @@ class TestNCNSerialization:
          "input matches no known format (partner: line 5: partner-array input must "
          "be a single line; pairs: line 6: duplicate position 3 (first used on "
          "line 5); dotbracket: line 5: dot-bracket input must be a single line)"),
-    ], ids=["nesting-first", "nesting-in-the-middle", "comment-and-blank"])
+        ("0\nnesting 0 0\n",
+         "input matches no known format (partner: line 1: partner-array needs a "
+         "positive even number of entries, got 1; pairs: line 1: edge count must be "
+         "positive, got 0; dotbracket: line 1, column 1: unexpected character '0')"),
+        ("1\n0 0\nnesting 0 0\n",
+         "input matches no known format (partner: line 2: partner-array input must "
+         "be a single line; pairs: line 2: position 0 is matched to itself; "
+         "dotbracket: line 2: dot-bracket input must be a single line)"),
+        ("3\n0 1\n2 3\n4 1\nnesting 0 0\n",
+         "input matches no known format (partner: line 2: partner-array input must "
+         "be a single line; pairs: line 4: duplicate position 1 (first used on "
+         "line 2); dotbracket: line 2: dot-bracket input must be a single line)"),
+    ], ids=["nesting-first", "nesting-in-the-middle", "comment-and-blank", "zero-count",
+            "self-pair", "duplicate-after-a-line"])
     def test_base_errors_keep_the_text_line_numbers(self, text, message):
         with pytest.raises(ParseError) as info:
             parse_ncn(text)
