@@ -3,10 +3,12 @@
 Subcommands: count, map, classify, enumerate, verify, render. Matchings are
 read from stdin (or --in FILE) in any of the supported formats; counts print
 as bare decimal integers. Exit codes: 0 success, 1 domain errors (not L & P,
-not a representative, enumeration cap), 2 usage or input-parse errors.
+not a representative, enumeration cap), 2 usage, input-parse and stdin or
+stdout errors.
 """
 
 import argparse
+import os
 import sys
 from functools import cache
 from itertools import islice
@@ -118,6 +120,8 @@ def _read_input(infile: Optional[str]) -> str:
         if infile:
             with open(infile, "r", encoding="utf-8") as handle:
                 return handle.read()
+        if sys.stdin is None:  # the interpreter's stand-in for a closed stdin
+            raise ParseError("cannot read stdin: stdin is closed")
         buffer = getattr(sys.stdin, "buffer", None)
         return sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
     except OSError as exc:  # missing, a directory, unreadable
@@ -265,20 +269,34 @@ def run(argv: Optional[list[str]] = None) -> int:
         _check_options(parser, args)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
+    if sys.stdout is None:  # the interpreter's stand-in for a closed stdout
+        sys.stderr.write("error: cannot write stdout: stdout is closed\n")
+        return 2
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a full disk may show only here
+        return code
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BrokenPipeError:
         return 0
+    except OSError as exc:  # writing stdout: an input's own OSError is a ParseError
+        sys.stderr.write(f"error: cannot write stdout: {exc.strerror}\n")
+        return 2
     except ValueError as exc:  # not L & P, not a representative, a cap, ...
         sys.stderr.write(f"error: {exc}\n")
         return 1
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:  # reported by ``run``; the interpreter's flush at exit would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ Three interchangeable matching encodings:
 
 A noncrossing matching with a chosen nested pair serializes as a pair-list
 followed by one line "nesting a b", with "nesting 0 0" when no pair is
-chosen.
+chosen; it is read back from a matching in any format plus that line.
 """
 
 from itertools import islice
@@ -260,75 +260,73 @@ def _read_lines(lines: list[tuple[int, str]]) -> Matching:
 def parse_ncn(text: str) -> NCNTriple:
     """Parse a matching plus its one "nesting a b" line.
 
-    When the text is a plain pair list (see ``_read_pair_list``) plus one
-    "nesting" line, that line is found with ``str.find`` and cut out, and the
-    rest is read as ``parse_input`` reads a plain pair list. Anything else
-    goes through ``_read_ncn_lines``. O(L) time for L characters either way;
-    the cut holds one more copy of the text.
+    The nesting line (``_nesting_line``) is blanked in place, so that the
+    text keeps its line numbers, and the rest is read by ``parse_input``.
+    O(L) time for L characters; the blanked text is one more copy, held
+    while ``parse_input`` reads it.
     """
-    cut = _cut_nesting_line(text)
-    if cut is not None:
-        lineno, body, rest = cut
-        pair = _nesting_pair(lineno, body)
-        base = _read_pair_list(rest)
-        if base is not None:
-            return _triple(base, pair, lineno)
-    return _read_ncn_lines(text)
-
-
-def _cut_nesting_line(text: str) -> Optional[tuple[int, str, str]]:
-    """(line number, stripped body, the text without that line) when
-    ``text`` is plain (``_is_plain``) but for one "nesting" token at the
-    start of a line; None for anything else."""
-    at = text.find("nesting")
-    if at < 0:
-        return None
-    start = text.rfind("\n", 0, at) + 1
-    end = text.find("\n", at)
-    end = len(text) if end < 0 else end + 1
-    line, rest = text[start:end], text[:start] + text[end:]
-    if (line.split()[0] != "nesting" or not _is_plain(line.replace("nesting", "", 1))
-            or not _is_plain(rest)):
-        return None
-    return text.count("\n", 0, at) + 1, line.strip(), rest
-
-
-def _read_ncn_lines(text: str) -> NCNTriple:
-    """The per-line walk behind ``parse_ncn``: one content-line pass, from
-    which the nesting line is taken out and the rest read as ``_read_lines``
-    reads them, so every message keeps the text's own line numbers."""
-    lines = _content_lines(text)
-    nesting_at = None
-    for i, (lineno, body) in enumerate(lines):
-        if body.split()[0] == "nesting":
-            if nesting_at is not None:
-                raise ParseError(f'second "nesting" line (the first is line '
-                                 f'{lines[nesting_at][0]})', line=lineno)
-            nesting_at = i
-    if nesting_at is None:
+    first = _nesting_line(text, 0)
+    if first is None:
         raise ParseError('missing "nesting a b" line')
-    lineno, body = lines.pop(nesting_at)
-    pair = _nesting_pair(lineno, body)
-    return _triple(_read_lines(lines), pair, lineno)
+    start, end = first
+    second = _nesting_line(text, end)
+    if second is not None:
+        raise ParseError(f'second "nesting" line (the first is line '
+                         f'{_line_number(text, start)})', line=_line_number(text, second[0]))
+    # The line is cut where only spaces follow it, as ``emit_ncn`` writes it
+    # (one copy of the text), else blanked with a space: with nothing, a "\r"
+    # before it and a "\n" after it would join into one line break.
+    rest = f"{text[:start]} {text[end:]}" if text[end:].strip() else text[:start]
+    try:
+        pair = _nesting_pair(text[start:end].split("#", 1)[0].strip())
+        return NCNTriple(parse_input(rest), pair)
+    except ParseError:  # the base's own message
+        raise
+    except ValueError as exc:  # the labels, or a pair the base does not nest
+        raise ParseError(str(exc), line=_line_number(text, start)) from None
 
 
-def _nesting_pair(lineno: int, body: str) -> Optional[tuple[int, int]]:
+# The characters that end a line for ``str.splitlines``, where "\r\n" ends one.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _nesting_line(text: str, at: int) -> Optional[tuple[int, int]]:
+    """(start, end) of the first line from ``at`` on whose first token, with
+    comments stripped, is "nesting"; None if there is none. Each "nesting" is
+    checked back to its line start over spaces and on to its token's end, and
+    the one found is followed to its line's end, so each character is looked
+    at O(1) times: O(L) for L characters."""
+    while (at := text.find("nesting", at)) >= 0:
+        start = at
+        while start and text[start - 1] not in _BREAKS and text[start - 1].isspace():
+            start -= 1
+        at += len("nesting")
+        after = text[at:at + 1]
+        if (not start or text[start - 1] in _BREAKS) and (
+                after in ("", "#") or after.isspace()):
+            while at < len(text) and text[at] not in _BREAKS:
+                at += 1
+            return start, at
+    return None
+
+
+def _line_number(text: str, start: int) -> int:
+    """The 1-based number of the line that starts at ``start``, as
+    ``str.splitlines`` numbers them; O(start), for messages only."""
+    return (sum(text.count(c, 0, start) for c in _BREAKS)
+            - text.count("\r\n", 0, start) + 1)
+
+
+def _nesting_pair(body: str) -> Optional[tuple[int, int]]:
     """The labels of a "nesting a b" line, None for the sentinel "0 0"."""
     tokens = body.split()
     if len(tokens) != 3:
-        raise ParseError(f'expected "nesting a b", got {_quote(body)}', line=lineno)
+        raise ValueError(f'expected "nesting a b", got {_quote(body)}')
     try:
         a, b = int(tokens[1]), int(tokens[2])
     except ValueError:
-        raise ParseError(f"non-integer labels in {_quote(body)}", line=lineno) from None
+        raise ValueError(f"non-integer labels in {_quote(body)}") from None
     return None if (a, b) == (0, 0) else (a, b)
-
-
-def _triple(base: Matching, pair: Optional[tuple[int, int]], lineno: int) -> NCNTriple:
-    try:
-        return NCNTriple(base, pair)
-    except ValueError as exc:
-        raise ParseError(str(exc), line=lineno) from None
 
 
 def emit_pairs(m: Matching) -> str:

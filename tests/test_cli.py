@@ -1,3 +1,4 @@
+import errno
 import io
 import os
 import subprocess
@@ -296,6 +297,9 @@ class Recorder:
         self.writes.append(text)
         return len(text)
 
+    def flush(self):
+        pass
+
 
 class TestBlockWriter:
     @pytest.mark.parametrize("block", [1, 2, 7, cli_module._BLOCK])
@@ -437,6 +441,9 @@ class TestRender:
                 self.lines += text.count("\n")
                 return len(text)
 
+            def flush(self):
+                pass
+
         n = 1200
         sink = WriteOnly()
         ladder = f"{n}\n" + "".join(f"{i} {2 * n - 1 - i}\n" for i in range(n))
@@ -522,6 +529,72 @@ class TestExitCodes:
 
         monkeypatch.setattr("sys.stdout", ClosedPipe())
         assert run(["count", "lp", "--n", "3"]) == 0
+
+    def test_closed_stdin(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", None)
+        assert run(["classify"]) == 2
+        assert capsys.readouterr() == ("", "error: cannot read stdin: stdin is closed\n")
+
+    def test_closed_stdout(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdout", None)
+        assert run(["count", "lp", "--n", "3"]) == 2
+        assert capsys.readouterr().err == "error: cannot write stdout: stdout is closed\n"
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_full_stdout(self, monkeypatch, capsys, failing):
+        class Full(io.StringIO):
+            def fail(self, *args):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        sink = Full()
+        setattr(sink, failing, sink.fail)
+        monkeypatch.setattr("sys.stdout", sink)
+        assert run(["count", "lp", "--n", "3"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["count", "lp", "--n", "3"], ["enumerate", "all", "--n", "5"]],
+                             ids=["count", "enumerate"])
+    @pytest.mark.parametrize("stdout", ["closed", "full", "broken-pipe"])
+    def test_stdout_failures_in_a_process(self, argv, stdout, buffered):
+        # One line on stderr and exit 2, also when only the flush at exit
+        # would fail; a reader that has gone away is no error.
+        if stdout == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(src)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        command = [sys.executable, "-m", "matchbij", *argv]
+        if stdout == "closed":
+            done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *command],
+                                  capture_output=True, env=env, timeout=60)
+            expected = (2, b"error: cannot write stdout: stdout is closed\n")
+        elif stdout == "full":
+            with open("/dev/full", "wb") as full:
+                done = subprocess.run(command, stdout=full, stderr=subprocess.PIPE,
+                                      env=env, timeout=60)
+            expected = (2, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n".encode())
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                done = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE,
+                                      env=env, timeout=60)
+            finally:
+                os.close(write_end)
+            expected = (0, b"")
+        assert (done.returncode, done.stderr) == expected
+
+    def test_closed_stdin_in_a_process(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(["sh", "-c", 'exec "$@" <&-', "sh", sys.executable, "-m",
+                               "matchbij", "classify"], capture_output=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, b"", b"error: cannot read stdin: stdin is closed\n")
 
     @pytest.mark.parametrize("argv,stdin,exit_code,cap,cut", HUGE_NUMBER_CASES)
     def test_huge_numbers_are_cut_in_messages(self, cli, monkeypatch, argv, stdin, exit_code,

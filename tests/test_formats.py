@@ -21,15 +21,15 @@ from matchbij import (
     parse_pairs,
     parse_partner,
 )
+from matchbij import formats
 from matchbij.formats import (
     _CLOSE,
     _FAMILY_LIMIT,
     _OPEN,
     _content_lines,
-    _cut_nesting_line,
     _is_plain,
+    _nesting_pair,
     _read_lines,
-    _read_ncn_lines,
     _read_pair_list,
 )
 
@@ -349,7 +349,9 @@ class TestDotBracketAgainstReference:
 # hand to the per-line walk: 1- and 3-token lines with the right token count,
 # repeated positions, self-pairs, positions past 2n - 1, counts of zero and
 # past the digit limit, a count with too few or too many pair lines, and
-# line breaks other than "\n" between the two positions of a line.
+# line breaks other than "\n" between the two positions of a line; and nesting
+# lines after every kind of line break, behind spaces a plain text does not
+# hold, and next to texts that only look like one.
 MALFORMED = [
     "3\n0 1\n2 3\n", "2\n0 2\n1 2\n", "1\nzero 1\n", "2\n0 1\n2 7\n",
     "0 1\n2 3\n", "   \n# nothing\n", "1 0 2\n", "1 2 3 0\n", "1 0\n3 2\n",
@@ -367,6 +369,12 @@ MALFORMED = [
     "1\n0 1\n\x0bnesting 0 0\n", "1\n0 1\nnesting 0 0 # c\n", "1\n0 1\nnesting 1 2\n",
     "1\n0 1 # c\nnesting 0 0\n", "1\nnesting 0 0\nnesting 0 0\n0 1\n",
     "1\n0 1\nnesting " + "1 " * 1000 + "\n",
+    "1\n0 1\x0cnesting 0 0\n", "1\n0 1\x1cnesting 0 0\n", "1\n0 1\x85nesting 0 0\n",
+    "1\n0 1\u2028nesting 0 0\n", "1\r\n0 1\r\nnesting 0 0\r\n",
+    "2\rnesting 1 2\n0 3\n1 x\n", "2\x0c0 3\x1cnesting 1 2\x851 2\u2028",
+    "1\n0 1\n\x1fnesting 0 0\n", "1\n0 1\n\xa0nesting 0 0\n", "1\n0 1\n\u3000nesting 0 0\n",
+    "1\n0 1\nnesting#c\n", "1\n0 1\nx nesting 0 0\n", "1\n# nesting 1 2\n0 1\nnesting 0 0\n",
+    "1\n0 1\nnesting 0 0\n\xa0\n",
 ]
 
 
@@ -374,8 +382,35 @@ def walk_input(text):
     return _read_lines(_content_lines(text))
 
 
+def walk_ncn(text):
+    """The per-line triple walk: one content-line pass, from which the line
+    whose first token is "nesting" is taken out and the rest read as
+    ``_read_lines`` reads them, so every message keeps the text's own line
+    numbers."""
+    lines = _content_lines(text)
+    nesting_at = None
+    for i, (lineno, body) in enumerate(lines):
+        if body.split()[0] == "nesting":
+            if nesting_at is not None:
+                raise ParseError(f'second "nesting" line (the first is line '
+                                 f'{lines[nesting_at][0]})', line=lineno)
+            nesting_at = i
+    if nesting_at is None:
+        raise ParseError('missing "nesting a b" line')
+    lineno, body = lines.pop(nesting_at)
+    try:
+        pair = _nesting_pair(body)
+    except ValueError as exc:
+        raise ParseError(str(exc), line=lineno) from None
+    base = _read_lines(lines)
+    try:
+        return NCNTriple(base, pair)
+    except ValueError as exc:
+        raise ParseError(str(exc), line=lineno) from None
+
+
 # Each public parser with a fast path, and the per-line walk it must agree with.
-WALKS = [(parse_input, walk_input), (parse_ncn, _read_ncn_lines)]
+WALKS = [(parse_input, walk_input), (parse_ncn, walk_ncn)]
 
 
 def outcome(parse, text):
@@ -405,15 +440,22 @@ class TestPlainReaderAgainstWalk:
                 text = emit_matching(m, fmt)
                 assert outcome(parse_input, text) == outcome(walk_input, text) == m
                 assert outcome(parse_ncn, text + "nesting 0 0\n") == outcome(
-                    _read_ncn_lines, text + "nesting 0 0\n")
+                    walk_ncn, text + "nesting 0 0\n")
             assert _read_pair_list(emit_pairs(m)) == m  # read by the plain reader
 
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_every_triple(self, n):
-        for t in ncn_elements(n):
-            text = emit_ncn(t)
-            assert _cut_nesting_line(text) is not None
-            assert outcome(parse_ncn, text) == outcome(_read_ncn_lines, text) == t
+    def test_every_triple(self, n, monkeypatch):
+        texts = {t: emit_ncn(t) for t in ncn_elements(n)}
+        for t, text in texts.items():
+            assert walk_ncn(text) == t
+
+        def refuse(lines):
+            raise AssertionError("an emitted triple reached the per-line walk")
+
+        # A triple as ``emit_ncn`` writes it is read without the per-line walk.
+        monkeypatch.setattr(formats, "_read_lines", refuse)
+        for t, text in texts.items():
+            assert parse_ncn(text) == t
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
