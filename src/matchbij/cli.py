@@ -49,8 +49,14 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        """As argparse's, but a failed write raises for ``run`` to report."""
+        (file or sys.stdout or sys.stderr).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matchbij",
         description="Complete matchings: statistics, L & P recognition, and "
         "the bijections to nesting-class representatives.",
@@ -112,13 +118,13 @@ def _check_options(parser: argparse.ArgumentParser, args) -> None:
 
 
 def _read_input(infile: Optional[str]) -> str:
-    """The text of ``infile``, or of stdin. A stdin with a byte ``buffer`` is
-    decoded here as strictly as a file is, without newline translation; a
-    text stream without one (a ``StringIO``) is read as it is."""
+    """The text of ``infile``, or of stdin, both strictly decoded and without
+    newline translation, so that each reaches the parser as written. A text
+    stream without a byte ``buffer`` (a ``StringIO``) is read as it is."""
     source = infile or "stdin"
     try:
         if infile:
-            with open(infile, "r", encoding="utf-8") as handle:
+            with open(infile, "r", encoding="utf-8", newline="") as handle:
                 return handle.read()
         if sys.stdin is None:  # the interpreter's stand-in for a closed stdin
             raise ParseError("cannot read stdin: stdin is closed")
@@ -265,16 +271,18 @@ def run(argv: Optional[list[str]] = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
-        _check_options(parser, args)
-    except SystemExit as exc:  # argparse handles usage errors and --help
-        return int(exc.code or 0)
-    if sys.stdout is None:  # the interpreter's stand-in for a closed stdout
-        sys.stderr.write("error: cannot write stdout: stdout is closed\n")
-        return 2
-    try:
-        code = _COMMANDS[args.command](args)
-        sys.stdout.flush()  # a full disk may show only here
+        try:
+            args = parser.parse_args(argv)
+            _check_options(parser, args)
+        except SystemExit as exc:  # argparse handles usage errors and --help
+            code = int(exc.code or 0)
+        else:
+            if sys.stdout is None:  # the interpreter's stand-in for a closed stdout
+                sys.stderr.write("error: cannot write stdout: stdout is closed\n")
+                return 2
+            code = _COMMANDS[args.command](args)
+        if sys.stdout is not None:  # --help goes to stderr if it is None
+            sys.stdout.flush()  # a full disk may show only here, for --help too
         return code
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")

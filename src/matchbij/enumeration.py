@@ -97,19 +97,24 @@ def _size_digits(family: str, n: int) -> float:
         return inf
 
 
-# The streams behind each cap: how their size is written, its family,
-# its exact value, and what it counts.
+# The streams behind each cap: how their size is written, its family, its
+# exact value, what it counts, and how far past ``enum_cap()`` they go.
 _CAPPED = {
     "full enumeration":
-        ("(2n-1)!!", "matchings", lambda n: double_factorial(2 * n - 1), "matchings"),
+        ("(2n-1)!!", "matchings", lambda n: double_factorial(2 * n - 1), "matchings", 0),
     "noncrossing enumeration":
-        ("Catalan(n)", "noncrossing", catalan, "noncrossing matchings"),
+        ("Catalan(n)", "noncrossing", catalan, "noncrossing matchings",
+         NONCROSSING_CAP_EXTRA),
 }
 
 
-def _check_cap(n: int, cap: int, what: str) -> None:
+def _check_cap(n: int, what: str) -> None:
+    """Refuse n < 1 (before the cap is read), then n past ``what``'s cap."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {_digits(n)}")
+    name, family, count, noun, extra = _CAPPED[what]
+    cap = enum_cap() + extra
     if n > cap:
-        name, family, count, noun = _CAPPED[what]
         digits = _size_digits(family, n)
         size = (f"= {count(n)} {noun}" if digits < 30
                 else f"has about {int(digits) + 1} digits" if digits < inf
@@ -128,9 +133,7 @@ def all_matchings(n: int) -> Iterator[Matching]:
     recursion, so each element passes through one generator frame. Amortized
     O(n) per element, most of it building and validating the ``Matching``.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {_digits(n)}")
-    _check_cap(n, enum_cap(), "full enumeration")
+    _check_cap(n, "full enumeration")
     size = 2 * n
     partner = [-1] * size
     placed: list[tuple[int, int]] = []  # (lo, w) of each pair above this level
@@ -169,9 +172,7 @@ def _walk(n: int) -> Iterator[tuple[int, int]]:
     masks, finding the next free w and counting those arcs are a few
     operations on ints of 2n bits: amortized O(1) of them per element.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {_digits(n)}")
-    _check_cap(n, enum_cap(), "full enumeration")
+    _check_cap(n, "full enumeration")
 
     def walk() -> Iterator[tuple[int, int]]:
         everything = (1 << 2 * n) - 1
@@ -209,9 +210,7 @@ def noncrossing_matchings(n: int) -> Iterator[Matching]:
     """Every noncrossing matching with n edges, by LR word in lexicographic
     order (L before R) from L^n R^n: the next word turns the last L with an arc
     open before it into R and moves the Ls after it left. Amortized O(n) each."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {_digits(n)}")
-    _check_cap(n, enum_cap() + NONCROSSING_CAP_EXTRA, "noncrossing enumeration")
+    _check_cap(n, "noncrossing enumeration")
     size = 2 * n
     is_left = [True] * n + [False] * n
     while True:

@@ -15,6 +15,7 @@ followed by one line "nesting a b", with "nesting 0 0" when no pair is
 chosen; it is read back from a matching in any format plus that line.
 """
 
+import re
 from itertools import islice
 from typing import Optional
 
@@ -114,35 +115,22 @@ def _pairs(lines: list[tuple[int, str]]) -> Matching:
     return Matching(n, tuple(partner))
 
 
-# The characters of a plain text, checked in pieces of _PIECE characters:
-# a whole-text copy, once freed, left the per-line walk that may follow
-# with a larger peak RSS (6 MiB more at 10^6 edges).
-_PLAIN = b"0123456789 \t\n"
-_PIECE = 1 << 16
-
-
-def _is_plain(text: str) -> bool:
-    """Whether ``text`` holds only ASCII digits, spaces, tabs and "\n"; O(L)."""
-    return text.isascii() and not any(
-        text[i:i + _PIECE].encode().translate(None, _PLAIN)
-        for i in range(0, len(text), _PIECE))
-
-
 def _read_pair_list(text: str) -> Optional[Matching]:
-    """The matching of a plain text (``_is_plain``) that is a well-formed
-    pair list, or None.
+    """The matching of a text that is a well-formed pair list, or None.
 
     The text is read when it is one count line n, then blank lines or lines
-    of two tokens, 2n + 1 tokens in all (one pass over its lines counts
-    their tokens): with one split and one ``int`` per token into a partner
-    table, whose ``Matching`` validation is the only check on the positions.
-    Any other text, and a pair list that does not encode a matching,
-    gives None, so that the per-line walk reads it and names the line at
-    fault; where this returns a matching, the walk returns the same one.
-    O(L) time for L characters; the tokens and the partner table are held
-    at once, about 100 bytes per token.
+    of two tokens, 2n + 1 tokens in all (one pass over its lines, split as
+    the per-line walk splits them, counts their tokens): with one split and
+    one ``int`` per token into a partner table, whose ``Matching`` validation
+    is the only check on the positions. Any other text, and a pair list that
+    does not encode a matching, gives None, so that the per-line walk reads
+    it and names the line at fault; where this returns a matching, the walk
+    returns the same one. O(L) time for L characters; the tokens and the
+    partner table are held at once, about 100 bytes per token.
     """
-    sizes = filter(None, map(len, map(str.split, text.split("\n"))))
+    if "#" in text:  # a comment, which ``int`` would refuse after the line pass
+        return None
+    sizes = filter(None, map(len, map(str.split, text.splitlines())))
     if next(sizes, 0) != 1 or not set(sizes) <= {2}:
         return None
     tokens = text.split()
@@ -172,13 +160,17 @@ def parse_partner(text: str) -> Matching:
     return _partner(_content_lines(text))
 
 
-def _partner(lines: list[tuple[int, str]]) -> Matching:
+def _single_line(lines: list[tuple[int, str]], name: str) -> tuple[int, str]:
+    """The one content line of a single-line format, as (lineno, body)."""
     if not lines:
         raise ParseError("empty input")
     if len(lines) != 1:
-        raise ParseError("partner-array input must be a single line",
-                         line=lines[1][0])
-    lineno, line = lines[0]
+        raise ParseError(f"{name} input must be a single line", line=lines[1][0])
+    return lines[0]
+
+
+def _partner(lines: list[tuple[int, str]]) -> Matching:
+    lineno, line = _single_line(lines, "partner-array")
     tokens = line.split()
     try:
         values = [int(t) for t in tokens]
@@ -199,12 +191,7 @@ def parse_dotbracket(text: str) -> Matching:
 
 
 def _dotbracket(lines: list[tuple[int, str]]) -> Matching:
-    if not lines:
-        raise ParseError("empty input")
-    if len(lines) != 1:
-        raise ParseError("dot-bracket input must be a single line",
-                         line=lines[1][0])
-    lineno, body = lines[0]
+    lineno, body = _single_line(lines, "dot-bracket")
     stacks: dict[int, list[int]] = {}
     partner = [0] * len(body)
     for i, c in enumerate(body):
@@ -232,17 +219,14 @@ def _dotbracket(lines: list[tuple[int, str]]) -> Matching:
 def parse_input(text: str) -> Matching:
     """Parse a matching in whichever format it is written.
 
-    A plain pair list (see ``_read_pair_list``) is read from its tokens,
-    without the per-line walk. Any other text is split into content lines once, then
-    partner-array, pair-list and dot-bracket are tried in that order: up to
-    three O(L) attempts for L characters, and the failure names each
-    format's faulty line.
+    A well-formed pair list is read from its tokens (``_read_pair_list``),
+    without the per-line walk. Any text that reader declines is split into
+    content lines once, then partner-array, pair-list and dot-bracket are
+    tried in that order: up to three O(L) attempts for L characters, and the
+    failure names each format's faulty line.
     """
-    if _is_plain(text):
-        m = _read_pair_list(text)
-        if m is not None:
-            return m
-    return _read_lines(_content_lines(text))
+    m = _read_pair_list(text)
+    return _read_lines(_content_lines(text)) if m is None else m
 
 
 def _read_lines(lines: list[tuple[int, str]]) -> Matching:
@@ -290,24 +274,28 @@ def parse_ncn(text: str) -> NCNTriple:
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
+# A line whose first token, comments stripped, is "nesting" ("\s" is what
+# ``str.isspace`` takes); led by a line break, its search jumps from break to
+# break in C. Compiled on first use (1 ms) into ``re``'s cache, not at import.
+_NESTING = f"[^\\S{_BREAKS}]*nesting(?![^\\s#])[^{_BREAKS}]*"
+_NESTING_HERE = f"({_NESTING})"
+_NESTING_AFTER = f"[{_BREAKS}]({_NESTING})"
+
+
 def _nesting_line(text: str, at: int) -> Optional[tuple[int, int]]:
     """(start, end) of the first line from ``at`` on whose first token, with
-    comments stripped, is "nesting"; None if there is none. Each "nesting" is
-    checked back to its line start over spaces and on to its token's end, and
-    the one found is followed to its line's end, so each character is looked
-    at O(1) times: O(L) for L characters."""
-    while (at := text.find("nesting", at)) >= 0:
-        start = at
-        while start and text[start - 1] not in _BREAKS and text[start - 1].isspace():
-            start -= 1
-        at += len("nesting")
-        after = text[at:at + 1]
-        if (not start or text[start - 1] in _BREAKS) and (
-                after in ("", "#") or after.isspace()):
-            while at < len(text) and text[at] not in _BREAKS:
-                at += 1
-            return start, at
-    return None
+    comments stripped, is "nesting"; None if there is none. ``at`` is 0 or a
+    line's end. The line of the first "nesting" past ``at`` is checked first,
+    its start found by one bounded ``rfind`` per break character, then the
+    lines after it are searched: O(L) for L characters, all of it in C."""
+    hit = text.find("nesting", at)
+    if hit < 0:
+        return None
+    for c in _BREAKS:
+        at = max(at, text.rfind(c, at, hit) + 1)
+    found = (re.compile(_NESTING_HERE).match(text, at)
+             or re.compile(_NESTING_AFTER).search(text, at))
+    return None if found is None else found.span(1)
 
 
 def _line_number(text: str, start: int) -> int:

@@ -229,6 +229,14 @@ class TestMap:
         path.write_text(LP_PAIRS)
         assert cli(["map", "sigma", "--in", str(path)]) == (0, REP_PAIRS, "")
 
+    def test_in_file_is_read_as_written(self, cli, tmp_path):
+        # No newline translation: a file reaches the parser as stdin's bytes do.
+        text = "# a triple\r\n2\r0 3\r\n1 2\nnesting 1 2\r\n"
+        path = tmp_path / "t.txt"
+        path.write_bytes(text.encode())
+        assert cli_module._read_input(str(path)) == text
+        assert cli(["map", "tau", "--in", str(path)]) == cli(["map", "tau"], text)
+
 
 class TestClassify:
     def test_nested_golden(self, cli):
@@ -587,6 +595,40 @@ class TestExitCodes:
                 os.close(write_end)
             expected = (0, b"")
         assert (done.returncode, done.stderr) == expected
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("argv", [["--help"], ["map", "--help"]], ids=["main", "map"])
+    def test_help_into_a_full_stdout(self, monkeypatch, capsys, argv, failing):
+        class Full(io.StringIO):
+            def fail(self, *args):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        sink = Full()
+        setattr(sink, failing, sink.fail)
+        monkeypatch.setattr("sys.stdout", sink)
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_help_into_dev_full_in_a_process(self, buffered):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(src)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run([sys.executable, "-m", "matchbij", "--help"], stdout=full,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (
+            2, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n".encode())
+
+    def test_help_on_a_closed_stdout_goes_to_stderr(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdout", None)
+        assert run(["--help"]) == 0
+        assert capsys.readouterr().err.startswith("usage: matchbij")
 
     def test_closed_stdin_in_a_process(self):
         src = Path(__file__).resolve().parent.parent / "src"

@@ -274,3 +274,12 @@ class TestCaps:
             next(all_matchings(0))
         with pytest.raises(ValueError, match="^n must be positive, got 0$"):
             next(noncrossing_matchings(0))
+
+    @pytest.mark.parametrize("stream", [all_matchings, noncrossing_matchings, _walk])
+    def test_nonpositive_n_is_refused_before_the_cap_is_read(self, monkeypatch, stream):
+        monkeypatch.setenv("MATCHBIJ_ENUM_CAP", "x")
+        with pytest.raises(ValueError, match="^n must be positive, got 0$") as info:
+            next(iter(stream(0)))
+        assert type(info.value) is ValueError
+        with pytest.raises(EnumerationCapError, match="MATCHBIJ_ENUM_CAP must be"):
+            next(iter(stream(1)))

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -27,7 +29,6 @@ from matchbij.formats import (
     _FAMILY_LIMIT,
     _OPEN,
     _content_lines,
-    _is_plain,
     _nesting_pair,
     _read_lines,
     _read_pair_list,
@@ -345,13 +346,13 @@ class TestDotBracketAgainstReference:
         assert text.startswith("ValueError") or parse_dotbracket(text) == m
 
 
-# Every malformed text above, plus plain texts that the plain reader must
-# hand to the per-line walk: 1- and 3-token lines with the right token count,
+# Every malformed text above, plus texts that the token reader must
+# decline for the per-line walk: 1- and 3-token lines with the right token count,
 # repeated positions, self-pairs, positions past 2n - 1, counts of zero and
 # past the digit limit, a count with too few or too many pair lines, and
 # line breaks other than "\n" between the two positions of a line; and nesting
-# lines after every kind of line break, behind spaces a plain text does not
-# hold, and next to texts that only look like one.
+# lines after every kind of line break, behind spaces other than " " and "\t",
+# and next to texts that only look like one.
 MALFORMED = [
     "3\n0 1\n2 3\n", "2\n0 2\n1 2\n", "1\nzero 1\n", "2\n0 1\n2 7\n",
     "0 1\n2 3\n", "   \n# nothing\n", "1 0 2\n", "1 2 3 0\n", "1 0\n3 2\n",
@@ -374,7 +375,7 @@ MALFORMED = [
     "2\rnesting 1 2\n0 3\n1 x\n", "2\x0c0 3\x1cnesting 1 2\x851 2\u2028",
     "1\n0 1\n\x1fnesting 0 0\n", "1\n0 1\n\xa0nesting 0 0\n", "1\n0 1\n\u3000nesting 0 0\n",
     "1\n0 1\nnesting#c\n", "1\n0 1\nx nesting 0 0\n", "1\n# nesting 1 2\n0 1\nnesting 0 0\n",
-    "1\n0 1\nnesting 0 0\n\xa0\n",
+    "1\n0 1\nnesting 0 0\n\xa0\n", "1\n# nesting\n0 1\n\n\x0b\nnesting 1 2\n",
 ]
 
 
@@ -441,7 +442,7 @@ class TestPlainReaderAgainstWalk:
                 assert outcome(parse_input, text) == outcome(walk_input, text) == m
                 assert outcome(parse_ncn, text + "nesting 0 0\n") == outcome(
                     walk_ncn, text + "nesting 0 0\n")
-            assert _read_pair_list(emit_pairs(m)) == m  # read by the plain reader
+            assert _read_pair_list(emit_pairs(m)) == m  # read by the token reader
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_triple(self, n, monkeypatch):
@@ -466,7 +467,7 @@ class TestPlainReaderAgainstWalk:
 
 
 # Every character that ends a line for ``str.splitlines``, and spaces that
-# ``str.split`` and ``str.strip`` take but a plain text does not hold.
+# ``str.split`` and ``str.strip`` take besides " " and "\t".
 LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                "\u2028", "\u2029"]
 SPACES = [" ", "\t", "  ", " \t", "\x1f", "\xa0", "\u3000"]
@@ -479,8 +480,10 @@ SPELLINGS = [lambda t: t, lambda t: t, lambda t: t, lambda t: "+" + t,
 
 @st.composite
 def mixed_texts(draw):
-    """Pair lists near a matching's: about half plain, with each of the
-    faults and characters that must send a text to the per-line walk."""
+    """Pair lists near a matching's: about half written as ``emit_pairs``
+    writes them, the rest with faults, spellings, spaces, line breaks,
+    comments and nesting lines on which the token reader and the per-line
+    walk must agree."""
     def sometimes(odds=4):  # true once in ``odds`` draws
         return draw(st.integers(0, odds - 1)) == 0
 
@@ -552,11 +555,34 @@ class TestLongLinesInMessages:
             parse_pairs("2\n0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15\n2 3\n")
 
 
-class TestIsPlain:
-    @pytest.mark.parametrize("text,plain", [
-        ("", True), ("2\n0 1\t2 3\n", True), ("1\r\n0 1", False), ("#", False),
-        ("1\n0\xa01", False), ("١", False), ("+1", False), ("1_0", False),
-        ("0 1" * 40000 + "x", False), ("0 1" * 40000, True),
-    ])
-    def test_characters(self, text, plain):
-        assert _is_plain(text) is plain
+class TestTokenReaderTakesEveryLineBreak:
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=[repr(b)[1:-1] for b in LINE_BREAKS])
+    def test_never_reaches_the_walk(self, brk, monkeypatch):
+        def refuse(lines):
+            raise AssertionError("a well-formed pair list reached the per-line walk")
+
+        monkeypatch.setattr(formats, "_read_lines", refuse)
+        for t in ncn_elements(4):
+            pairs = emit_pairs(t.base).replace("\n", brk)
+            assert parse_input(pairs) == t.base
+            assert parse_ncn(emit_ncn(t).replace("\n", brk)) == t
+
+
+class TestNestingLineScan:
+    # Texts that make a character-by-character look back or forward slow:
+    # each is read in well under a second, so a bound of 10 s catches a
+    # quadratic scan and not a slow machine.
+    @pytest.mark.parametrize("text,expected", [
+        ("1\n0 1\n" + " " * 5 * 10 ** 6 + "nesting 0 0\n", None),
+        ("1\n0 1\n" + "nesting" * 5 * 10 ** 5 + "\nnesting 0 0\n", "no known format"),
+        ("1\n" + "# nesting 1 2\n" * 5 * 10 ** 5 + "0 1\nnesting 0 0\n", None),
+        ("1\n0 1\nnesting 0 0" + " 1" * 5 * 10 ** 5 + "\n", 'expected "nesting a b"'),
+    ], ids=["spaces", "glued", "comments", "long-line"])
+    def test_linear(self, text, expected):
+        start = time.perf_counter()
+        if expected is None:
+            assert parse_ncn(text) == NCNTriple(from_pairs([(0, 1)], 1), None)
+        else:
+            with pytest.raises(ParseError, match=expected):
+                parse_ncn(text)
+        assert time.perf_counter() - start < 10
