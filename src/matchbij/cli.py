@@ -167,7 +167,7 @@ def _count(what: str, n: int, brute: bool) -> int:
     if what == "lp":
         return sum(1 for _ in enumerate_lp(n)) if brute else lp_count_formula(n)
     if what == "classes":
-        return census(n)[0] if brute else lp_count_formula(n)
+        return len(census(n)) if brute else lp_count_formula(n)
     return sum(1 for _ in ncn_elements(n))  # ncn has no separate closed form
 
 
@@ -239,14 +239,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    failures = 0
-    for name, ok, detail in run_suite(args.n, args.suite):
-        if ok:
-            sys.stdout.write(f"PASS {name}: {detail}\n")
-        else:
-            sys.stdout.write(f"FAIL {name}: {detail}\n")
-            failures += 1
-    return 1 if failures else 0
+    results = run_suite(args.n, args.suite)
+    for name, ok, detail in results:
+        sys.stdout.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
+    return 0 if all(ok for _, ok, _ in results) else 1
 
 
 def _cmd_render(args) -> int:

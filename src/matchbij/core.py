@@ -368,22 +368,19 @@ def _classified_pairs(m: Matching, kind: str) -> list[tuple[int, int]]:
     return out
 
 
-def nestings(m: Matching) -> tuple[int, list[tuple[int, int]]]:
-    """All nested label pairs (reported as (min, max)) and their count, O(n^2)."""
-    pairs = _classified_pairs(m, "nested")
-    return len(pairs), pairs
+def nestings(m: Matching) -> list[tuple[int, int]]:
+    """All nested label pairs, each as (min, max), O(n^2); ``stats`` counts them."""
+    return _classified_pairs(m, "nested")
 
 
-def crossings(m: Matching) -> tuple[int, list[tuple[int, int]]]:
-    """All crossing label pairs (reported as (min, max)) and their count, O(n^2)."""
-    pairs = _classified_pairs(m, "crossing")
-    return len(pairs), pairs
+def crossings(m: Matching) -> list[tuple[int, int]]:
+    """All crossing label pairs, each as (min, max), O(n^2); ``stats`` counts them."""
+    return _classified_pairs(m, "crossing")
 
 
-def alignments(m: Matching) -> tuple[int, list[tuple[int, int]]]:
-    """All aligned (disjoint) label pairs and their count, O(n^2)."""
-    pairs = _classified_pairs(m, "alignment")
-    return len(pairs), pairs
+def alignments(m: Matching) -> list[tuple[int, int]]:
+    """All aligned (disjoint) label pairs, each as (min, max), O(n^2)."""
+    return _classified_pairs(m, "alignment")
 
 
 def rperm(m: Matching) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ chosen; it is read back from a matching in any format plus that line.
 """
 
 import re
-from itertools import islice
+from itertools import islice, repeat
 from typing import Optional
 
 from .core import InvalidMatchingError, Matching, NCNTriple, _digits, _quote
@@ -120,17 +120,19 @@ def _read_pair_list(text: str) -> Optional[Matching]:
 
     The text is read when it is one count line n, then blank lines or lines
     of two tokens, 2n + 1 tokens in all (one pass over its lines, split as
-    the per-line walk splits them, counts their tokens): with one split and
-    one ``int`` per token into a partner table, whose ``Matching`` validation
-    is the only check on the positions. Any other text, and a pair list that
-    does not encode a matching, gives None, so that the per-line walk reads
-    it and names the line at fault; where this returns a matching, the walk
-    returns the same one. O(L) time for L characters; the tokens and the
-    partner table are held at once, about 100 bytes per token.
+    the per-line walk splits them, counts at most three tokens a line, so a
+    partner array's one long line is declined without being split whole):
+    with one split and one ``int`` per token into a partner table, whose
+    ``Matching`` validation is the only check on the positions. Any other
+    text, and a pair list that does not encode a matching, gives None, so
+    that the per-line walk reads it and names the line at fault; where this
+    returns a matching, the walk returns the same one. O(L) time for L
+    characters; the tokens and the partner table are held at once, about 100
+    bytes per token.
     """
     if "#" in text:  # a comment, which ``int`` would refuse after the line pass
         return None
-    sizes = filter(None, map(len, map(str.split, text.splitlines())))
+    sizes = filter(None, map(len, map(str.split, text.splitlines(), repeat(None), repeat(2))))
     if next(sizes, 0) != 1 or not set(sizes) <= {2}:
         return None
     tokens = text.split()

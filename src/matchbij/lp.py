@@ -7,16 +7,15 @@ between consecutive hairpin endpoints. Noncrossing matchings are the empty-
 hairpin case.
 
 Counting is exact integer arithmetic throughout; the closed form is
-2 * 4^(n-1) - (3n-1)/(2n+2) * C(2n, n), and the division is checked to be
-exact before it is performed.
+2 * 4^(n-1) - (3n-1)/(2n+2) * C(2n, n), computed as
+2 * 4^(n-1) - (3n-1) * Catalan(n) / 2, whose one division is always exact.
 """
 
 from bisect import bisect_left
-from math import comb
 from typing import Iterator, NamedTuple, Optional
 
 from .core import Matching, _digits, _scan
-from .enumeration import all_matchings
+from .enumeration import all_matchings, catalan
 
 __all__ = [
     "HairpinDecomposition",
@@ -99,17 +98,15 @@ def is_lp(m: Matching) -> bool:
 
 
 def lp_count_formula(n: int) -> int:
-    """Exact count of L & P matchings with n edges by the closed form; O(n^2) at most."""
+    """Exact count of L & P matchings with n edges by the closed form,
+    2 * 4^(n-1) - (3n-1) * Catalan(n) / 2; O(n^2) at most.
+
+    The halving is exact: Catalan(n) is odd only when n + 1 is a power of
+    2, so an even n has an even Catalan(n), and an odd n has an even 3n - 1.
+    """
     if n < 1:
         raise ValueError(f"n must be positive, got {_digits(n)}")
-    numerator = (3 * n - 1) * comb(2 * n, n)
-    denominator = 2 * n + 2
-    if numerator % denominator:
-        raise ValueError(
-            f"(3n-1)*C(2n,n) = {_digits(numerator)} is not divisible by "
-            f"2n+2 = {_digits(denominator)}"
-        )
-    return 2 * 4 ** (n - 1) - numerator // denominator
+    return 2 * 4 ** (n - 1) - (3 * n - 1) * catalan(n) // 2
 
 
 def enumerate_lp(n: int) -> Iterator[Matching]:

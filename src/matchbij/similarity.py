@@ -38,21 +38,18 @@ def class_key(m: Matching) -> ClassKey:
     return ClassKey(lr_sequence(m), stats(m).ne)
 
 
-def census(n: int) -> tuple[int, dict[ClassKey, int]]:
+def census(n: int) -> dict[ClassKey, int]:
     """Group every matching with n edges by class key.
 
-    Returns the class count and a map from key to member count, keys in
-    first-seen order. Only counts are stored, so memory stays bounded by the
-    number of classes rather than the double factorial. The walk carries each
-    matching's LR word (as a mask) and nesting count, amortized O(1) int
-    operations per matching at enumerable sizes; each class then costs O(n)
-    to spell its word.
+    Returns a map from key to member count, keys in first-seen order, so
+    its ``len`` is the class count. Only counts are stored, so memory stays
+    bounded by the number of classes rather than the double factorial. The
+    walk carries each matching's LR word (as a mask) and nesting count,
+    amortized O(1) int operations per matching at enumerable sizes; each
+    class then costs O(n) to spell its word.
     """
     counts = Counter(_walk(n))  # keys in first-seen order
-    return len(counts), {
-        ClassKey(_walk_word(lefts, n), ne): c
-        for (lefts, ne), c in counts.items()
-    }
+    return {ClassKey(_walk_word(lefts, n), ne): c for (lefts, ne), c in counts.items()}
 
 
 def ns_stream(n: int):

@@ -67,22 +67,23 @@ class _Families:
     """The families that the checks of one verify run share, built lazily
     and only for the suites the run reads.
 
-    ``_walk`` goes through all matchings once for three readers: the walked
-    core checks (``core``, for the core suite), the brute L & P filter
-    (``lp``, for the lp and bijections suites) and the stream length
-    (``count``). It scans each matching once (``core._scan``), and the scan
-    serves both the pair counts and the L & P test; it tests each distinct
-    projection once. ``sigma_images`` serves the three sigma checks,
-    ``noncrossing`` the rperm, swap and coverage checks, ``ncn`` the
-    phi_inv and tau round trips, and ``census`` and ``representatives`` the
-    similarity checks and the sigma image."""
+    ``_walk`` goes through all matchings once for four readers: the walked
+    core checks (``faults``, each one's first fault by check name, and
+    ``most_nested``, the largest nesting count per LR word, for the core
+    suite), the brute L & P filter (``lp``, for the lp and bijections
+    suites) and the stream length (``count``). It scans each matching once
+    (``core._scan``), and the scan serves both the pair counts and the L & P
+    test; it tests each distinct projection once. ``sigma_images`` serves
+    the three sigma checks, ``noncrossing`` the rperm, swap and coverage
+    checks, ``ncn`` the phi_inv and tau round trips, and ``census`` and
+    ``representatives`` the similarity checks and the sigma image."""
 
     def __init__(self, n: int, suites: Collection[str]):
         self.n = n
         self.suites = suites
 
     @cached_property
-    def _walk(self) -> tuple[dict[str, Verdict], list[Matching], int]:
+    def _walk(self) -> tuple[dict[str, str], dict[str, int], list[Matching], int]:
         want_core = "core" in self.suites
         want_lp = "lp" in self.suites or "bijections" in self.suites
         total = self.n * (self.n - 1) // 2
@@ -106,38 +107,32 @@ class _Families:
             p, word = nc(m), lr_sequence(m)
             if (seen := projected.get(p)) is None:
                 seen = projected[p] = lr_sequence(p), nc(p) != p
-            if ne + cr + alignments(m)[0] != total:
+            if ne + cr + len(alignments(m)) != total:
                 first.setdefault("pair-partition", f"partition fails on {m}")
             if seen[0] != word:
                 first.setdefault("lr-preserved-by-projection",
                                  f"projection changes LR word on {m}")
-            if seen[1]:
-                first.setdefault("projection-idempotent", f"projection not idempotent on {m}")
-            elif (p == m) != is_noncrossing(m):
-                first.setdefault("projection-idempotent", f"fixed-point mismatch on {m}")
+            if seen[1] or (p == m) != is_noncrossing(m):
+                fault = "projection not idempotent" if seen[1] else "fixed-point mismatch"
+                first.setdefault("projection-idempotent", f"{fault} on {m}")
             if from_pairs([(e.left, e.right) for e in edges(m)], m.n) != m:
                 first.setdefault("edge-list-roundtrip", f"edge-list round trip fails on {m}")
             if best.get(word, -1) < ne:
                 best[word] = ne
-        verdicts = {check: (False, first[check]) if check in first else _ok(count, "matchings")
-                    for check in ("pair-partition", "lr-preserved-by-projection",
-                                  "projection-idempotent", "edge-list-roundtrip")}
-        verdicts["projection-maximizes-nestings"] = _each(
-            best.items(), "LR words", lambda item: stats(matching_from_lr(item[0])).ne != item[1]
-            and f"projection does not maximize nestings for {item[0]}")
-        return verdicts, lp, count
+        return first, best, lp, count
 
-    core = property(lambda self: self._walk[0])
+    faults = property(lambda self: self._walk[0])
+    most_nested = property(lambda self: self._walk[1])
     # The brute filter: the oracle for the census and every phi and sigma check.
-    lp = property(lambda self: self._walk[1])
-    count = property(lambda self: self._walk[2])
+    lp = property(lambda self: self._walk[2])
+    count = property(lambda self: self._walk[3])
 
     @cached_property
     def sigma_images(self) -> list[Matching]:
         return [sigma(m) for m in self.lp]
 
     @cached_property
-    def census(self) -> tuple[int, dict[ClassKey, int]]:
+    def census(self) -> dict[ClassKey, int]:
         return census(self.n)
 
     @cached_property
@@ -154,13 +149,15 @@ class _Families:
 
 
 def _walked(check: str) -> tuple[str, Callable[[_Families], Verdict]]:
-    """A core check whose verdict comes from the shared walk of all matchings."""
-    return check, lambda fam: fam.core[check]
+    """A core check whose verdict is its first fault in the shared walk of
+    all matchings, read as ``_each`` reads a fault."""
+    return check, lambda fam: ((False, fam.faults[check]) if check in fam.faults
+                               else _ok(fam.count, "matchings"))
 
 
 def _rperm_fault(m: Matching) -> str | bool:
     position = {label: i for i, label in enumerate(rperm(m))}
-    nested = set(nestings(m)[1])
+    nested = set(nestings(m))
     for a in range(1, m.n + 1):
         for b in range(a + 1, m.n + 1):
             if ((a, b) in nested) != (position[b] < position[a]):
@@ -196,7 +193,8 @@ def _check_lp_mirror(fam: _Families) -> Verdict:
 
 def _crossing_product_fault(m: Matching) -> str | bool:
     d = find_inflated_hairpin(m)
-    return crossings(m)[0] != len(d.a_side) * len(d.b_side) and f"crossing count != |A|*|B| on {m}"
+    return (len(crossings(m)) != len(d.a_side) * len(d.b_side)
+            and f"crossing count != |A|*|B| on {m}")
 
 
 def _sigma_lr_fault(item: tuple[Matching, Matching]) -> str | bool:
@@ -212,9 +210,9 @@ def _swap_nestings_fault(m: Matching) -> str | bool:
     k = len(order)
     i = -1
     for i, step in enumerate(swap_sequence(m)):
-        ne, pairs = nestings(step.matching)
-        if ne != k - i:
-            return f"nesting count at step {i} of {m} is {ne}"
+        pairs = nestings(step.matching)
+        if len(pairs) != k - i:
+            return f"nesting count at step {i} of {m} is {len(pairs)}"
         # The step's labels follow its left endpoints; lperm gives the base's.
         labeled = sorted((tuple(sorted((step.lperm[a - 1], step.lperm[b - 1])))
                           for a, b in pairs), key=lambda p: (p[1], p[0]))
@@ -241,7 +239,7 @@ def _check_sigma_image(fam: _Families) -> Verdict:
 
 
 def _check_class_counts(fam: _Families) -> Verdict:
-    classes, _ = fam.census
+    classes = len(fam.census)
     reps = fam.representatives
     expected = lp_count_formula(fam.n)
     if classes != expected:
@@ -252,22 +250,20 @@ def _check_class_counts(fam: _Families) -> Verdict:
 
 
 def _check_key_bijection(fam: _Families) -> Verdict:
-    _, table = fam.census
     keys = [class_key(r) for r in fam.representatives]
     if len(set(keys)) != len(keys):
         return False, "two representatives share a class key"
-    if set(keys) != set(table):
+    if set(keys) != set(fam.census):
         return False, "representative keys do not cover the census"
     return True, f"keys biject onto {len(keys)} census classes"
 
 
 def _check_coverage(fam: _Families) -> Verdict:
-    _, table = fam.census
     seen = set()
     for m in fam.noncrossing:
         word = lr_sequence(m)
         seen.update((word, ne) for ne in range(stats(m).ne + 1))
-    if seen != set(table):
+    if seen != set(fam.census):
         return False, "constructive coverage misses a class"
     return True, f"all {len(seen)} (word, count) classes witnessed"
 
@@ -292,7 +288,10 @@ SUITES: dict[str, list[tuple[str, Callable[[_Families], Verdict]]]] = {
         _walked("projection-idempotent"),
         ("rperm-detects-nestings",
          lambda fam: _each(fam.noncrossing, "noncrossing matchings", _rperm_fault)),
-        _walked("projection-maximizes-nestings"),
+        ("projection-maximizes-nestings", lambda fam: _each(
+            fam.most_nested.items(), "LR words",
+            lambda item: stats(matching_from_lr(item[0])).ne != item[1]
+            and f"projection does not maximize nestings for {item[0]}")),
         _walked("edge-list-roundtrip"),
     ],
     "lp": [

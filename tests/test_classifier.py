@@ -77,8 +77,8 @@ def reference_stats(m):
 
 def reference_hairpin(m):
     es = edges(m)
-    cross_count, cross_pairs = crossings(m)
-    if cross_count == 0:
+    cross_pairs = crossings(m)
+    if not cross_pairs:
         return (), ()
 
     crosses_larger = {a for a, _ in cross_pairs}
@@ -90,7 +90,7 @@ def reference_hairpin(m):
     if a_side[-1] > b_side[0]:
         return None
 
-    nested_set = set(nestings(m)[1])
+    nested_set = set(nestings(m))
     for side in (a_side, b_side):
         for i in range(len(side)):
             for j in range(i + 1, len(side)):
@@ -101,7 +101,7 @@ def reference_hairpin(m):
         for b in b_side:
             if (a, b) not in cross_set:
                 return None
-    if cross_count != len(a_side) * len(b_side):
+    if len(cross_pairs) != len(a_side) * len(b_side):
         raise ValueError("crossings outside the hairpin sides")
 
     hairpin_labels = crosses_larger | crosses_smaller
@@ -122,7 +122,7 @@ def reference_census(n):
     for m in all_matchings(n):
         key = class_key(m)
         counts[key] = counts.get(key, 0) + 1
-    return len(counts), counts
+    return counts
 
 
 def check_scan(m):
@@ -158,9 +158,7 @@ def test_labeled_swap_traces_against_reference(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_census_against_reference(n):
-    got, expected = census(n), reference_census(n)
-    assert got[0] == expected[0]
-    assert list(got[1].items()) == list(expected[1].items())
+    assert list(census(n).items()) == list(reference_census(n).items())
 
 
 @st.composite

@@ -378,7 +378,7 @@ class TestVerify:
 
     def test_failing_check_prints_fail_and_exits_one(self, cli, monkeypatch):
         first = next(all_matchings(3))
-        monkeypatch.setattr(verify, "alignments", lambda m: (-1, []))
+        monkeypatch.setattr(verify, "alignments", lambda m: [])
         code, out, err = cli(["verify", "--n", "3", "--suite", "core"])
         assert (code, err) == (1, "")
         assert f"FAIL core/pair-partition: partition fails on {first}\n" in out

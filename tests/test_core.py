@@ -6,6 +6,7 @@ from matchbij import (
     LabeledMatching,
     Matching,
     alignments,
+    all_matchings,
     crossings,
     edges,
     from_pairs,
@@ -113,45 +114,53 @@ class TestLRSequence:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_word_nestings_is_the_noncrossing_nesting_count(self, n):
         for m in noncrossing_matchings(n):
-            assert _word_nestings(lr_sequence(m)) == stats(m).ne == nestings(m)[0], m
+            assert _word_nestings(lr_sequence(m)) == stats(m).ne == len(nestings(m)), m
 
 
 class TestNestings:
     def test_similar_pair_both_have_two(self, similar_a, similar_b):
-        assert nestings(similar_a)[0] == 2
-        assert nestings(similar_b)[0] == 2
+        assert len(nestings(similar_a)) == 2
+        assert len(nestings(similar_b)) == 2
 
     def test_ladder_is_fully_nested(self, ladder4):
-        count, pairs = nestings(ladder4)
-        assert count == 6
+        pairs = nestings(ladder4)
+        assert len(pairs) == 6
         assert set(pairs) == {(a, b) for a in range(1, 5) for b in range(a + 1, 5)}
 
     def test_sequential_has_none(self):
-        assert nestings(from_pairs([(0, 1), (2, 3)], 2)) == (0, [])
+        assert nestings(from_pairs([(0, 1), (2, 3)], 2)) == []
 
 
 class TestCrossings:
     def test_hairpin(self, hairpin):
-        assert crossings(hairpin) == (1, [(1, 2)])
+        assert crossings(hairpin) == [(1, 2)]
 
     def test_crossing_block(self, lp_example):
-        count, pairs = crossings(lp_example)
-        assert count == 4
+        pairs = crossings(lp_example)
+        assert len(pairs) == 4
         assert set(pairs) == {(a, b) for a in (1, 2) for b in (4, 5)}
 
     def test_noncrossing(self, nc_example):
-        assert crossings(nc_example) == (0, [])
+        assert crossings(nc_example) == []
 
 
 class TestPairPartition:
     def test_counts_sum(self, lp_example):
         st = stats(lp_example)
-        assert st.ne + st.cr + alignments(lp_example)[0] == 7 * 6 // 2
+        assert st.ne + st.cr + len(alignments(lp_example)) == 7 * 6 // 2
 
     def test_stats_agree_with_lists(self, similar_b):
         st = stats(similar_b)
-        assert st.ne == nestings(similar_b)[0]
-        assert st.cr == crossings(similar_b)[0]
+        assert st.ne == len(nestings(similar_b))
+        assert st.cr == len(crossings(similar_b))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_stats_count_every_list(self, n):
+        # The lists carry no count of their own: stats is the one source.
+        for m in all_matchings(n):
+            ne, cr = stats(m)
+            assert len(nestings(m)) == ne and len(crossings(m)) == cr, m
+            assert len(alignments(m)) == n * (n - 1) // 2 - ne - cr, m
 
 
 class TestNc:

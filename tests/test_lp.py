@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from matchbij import (
@@ -11,7 +13,6 @@ from matchbij import (
     is_noncrossing,
     lp_count_formula,
 )
-from matchbij import lp
 from matchbij.verify import mirror
 
 
@@ -60,15 +61,6 @@ class TestFindInflatedHairpin:
                     assert (bool(d.a_side), bool(d.b_side)) == (not is_noncrossing(m),) * 2, m
 
 
-class TestRuntimeChecks:
-    """The invariant checks raise ValueError, so ``python -O`` keeps them."""
-
-    def test_inexact_division(self, monkeypatch):
-        monkeypatch.setattr(lp, "comb", lambda a, b: 1)
-        with pytest.raises(ValueError, match="not divisible by 2n\\+2"):
-            lp_count_formula(4)
-
-
 class TestIsLp:
     def test_examples(self, similar_a, similar_b, hairpin, nc_example):
         assert is_lp(similar_a)
@@ -98,6 +90,19 @@ class TestCountFormula:
     @pytest.mark.parametrize("n", range(1, 30))
     def test_division_is_exact_for_small_n(self, n):
         assert lp_count_formula(n) > 0
+
+    def test_halving_agrees_with_the_binomial_form(self):
+        # The parity argument behind the exact halving (Catalan(n) is odd
+        # iff n + 1 is a power of 2), and the closed form with its division
+        # by 2n + 2, for every n up to 3000. C(2n, n) is carried along.
+        central = 1
+        for n in range(1, 3001):
+            central = central * (2 * n - 1) * 2 // n
+            assert (central // (n + 1)) % 2 == (n & (n + 1) == 0), n
+            numerator = (3 * n - 1) * central
+            assert numerator % (2 * n + 2) == 0, n
+            assert lp_count_formula(n) == 2 * 4 ** (n - 1) - numerator // (2 * n + 2), n
+        assert central == comb(6000, 3000)
 
 
 class TestEnumerateLp:
@@ -138,7 +143,7 @@ class TestStructuralInvariants:
         for m in all_matchings(n):
             d = find_inflated_hairpin(m)
             if d is not None:
-                assert crossings(m)[0] == len(d.a_side) * len(d.b_side)
+                assert len(crossings(m)) == len(d.a_side) * len(d.b_side)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_sides_bound_each_other(self, n):

@@ -28,7 +28,7 @@ from matchbij import (
 
 
 def reference_order(base):
-    return sorted(nestings(base)[1], key=lambda p: (p[1], p[0]))
+    return sorted(nestings(base), key=lambda p: (p[1], p[0]))
 
 
 def reference_labeled_walk(base, pairs):
