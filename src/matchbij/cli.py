@@ -14,7 +14,7 @@ from functools import cache
 from itertools import islice
 from typing import Optional
 
-from .core import _digits, _quote, _scan, lr_sequence
+from .core import NCNTriple, _digits, _quote, _scan, lr_sequence
 from .lp import _hairpin, enumerate_lp, lp_count_formula
 from .bijections import phi, phi_inv, sigma, sigma_inv, tau, tau_inv
 from .similarity import census, ns_stream
@@ -29,6 +29,7 @@ from .enumeration import (
 from .formats import (
     FORMATS,
     ParseError,
+    _line_number,
     emit_matching,
     emit_ncn,
     parse_input,
@@ -132,8 +133,9 @@ def _read_input(infile: Optional[str]) -> str:
         return sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
     except OSError as exc:  # missing, a directory, unreadable
         raise ParseError(f"cannot read {source}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+    except UnicodeDecodeError as exc:  # numbered as the parser numbers lines
+        prefix = exc.object[:exc.start].decode("utf-8")
+        line = _line_number(prefix, len(prefix))
         raise ParseError(f"cannot read {source}: byte 0x{exc.object[exc.start]:02x} "
                          f"on line {line} is not UTF-8") from None
 
@@ -187,10 +189,8 @@ def _cmd_map(args) -> int:
     # phi-inv and tau read a triple; phi and tau-inv write one.
     reads_triple = args.which in ("phi-inv", "tau")
     image = bijection(parse_ncn(text) if reads_triple else parse_input(text))
-    if args.which in ("phi", "tau-inv"):
-        sys.stdout.write(emit_ncn(image))
-    else:
-        sys.stdout.write(emit_matching(image, args.format or "pairs"))
+    sys.stdout.write(emit_ncn(image) if isinstance(image, NCNTriple)
+                     else emit_matching(image, args.format or "pairs"))
     return 0
 
 

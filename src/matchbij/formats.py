@@ -24,9 +24,6 @@ from .core import InvalidMatchingError, Matching, NCNTriple, _digits, _quote
 __all__ = [
     "ParseError",
     "parse_input",
-    "parse_pairs",
-    "parse_partner",
-    "parse_dotbracket",
     "parse_ncn",
     "emit_pairs",
     "emit_partner",
@@ -39,6 +36,11 @@ __all__ = [
 _OPEN = "([{<ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _CLOSE = ")]}>abcdefghijklmnopqrstuvwxyz"
 _FAMILY_LIMIT = len(_OPEN)
+
+# The characters that end a line for ``str.splitlines``, where "\r\n" ends one.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# A comment: from its "#" up to the break that ends its line.
+_COMMENT = f"#[^{_BREAKS}]*"
 
 
 class ParseError(ValueError):
@@ -65,11 +67,6 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
         if body:
             out.append((lineno, body))
     return out
-
-
-def parse_pairs(text: str) -> Matching:
-    """Parse the pair-list format; O(L) for L characters of text."""
-    return _pairs(_content_lines(text))
 
 
 def _pairs(lines: list[tuple[int, str]]) -> Matching:
@@ -118,20 +115,22 @@ def _pairs(lines: list[tuple[int, str]]) -> Matching:
 def _read_pair_list(text: str) -> Optional[Matching]:
     """The matching of a text that is a well-formed pair list, or None.
 
-    The text is read when it is one count line n, then blank lines or lines
-    of two tokens, 2n + 1 tokens in all (one pass over its lines, split as
-    the per-line walk splits them, counts at most three tokens a line, so a
-    partner array's one long line is declined without being split whole):
-    with one split and one ``int`` per token into a partner table, whose
-    ``Matching`` validation is the only check on the positions. Any other
-    text, and a pair list that does not encode a matching, gives None, so
-    that the per-line walk reads it and names the line at fault; where this
-    returns a matching, the walk returns the same one. O(L) time for L
-    characters; the tokens and the partner table are held at once, about 100
-    bytes per token.
+    A text holding a "#" loses its comments first, each cut up to the break
+    that ends its line as ``_content_lines`` cuts it (one ``re.sub``, one
+    copy of the text). The text is read when it is one count line n, then
+    blank lines or lines of two tokens, 2n + 1 tokens in all (one pass over
+    its lines, split as the per-line walk splits them, counts at most three
+    tokens a line, so a partner array's one long line is declined without
+    being split whole): with one split and one ``int`` per token into a
+    partner table, whose ``Matching`` validation is the only check on the
+    positions. Any other text, and a pair list that does not encode a
+    matching, gives None, so that the per-line walk reads it and names the
+    line at fault; where this returns a matching, the walk returns the same
+    one. O(L) time for L characters; the tokens and the partner table are
+    held at once, about 100 bytes per token.
     """
-    if "#" in text:  # a comment, which ``int`` would refuse after the line pass
-        return None
+    if "#" in text:  # a plain text is not copied
+        text = re.sub(_COMMENT, "", text)
     sizes = filter(None, map(len, map(str.split, text.splitlines(), repeat(None), repeat(2))))
     if next(sizes, 0) != 1 or not set(sizes) <= {2}:
         return None
@@ -157,11 +156,6 @@ def _read_pair_list(text: str) -> Optional[Matching]:
         return None
 
 
-def parse_partner(text: str) -> Matching:
-    """Parse the one-line partner-array format; O(L) for L characters."""
-    return _partner(_content_lines(text))
-
-
 def _single_line(lines: list[tuple[int, str]], name: str) -> tuple[int, str]:
     """The one content line of a single-line format, as (lineno, body)."""
     if not lines:
@@ -185,11 +179,6 @@ def _partner(lines: list[tuple[int, str]]) -> Matching:
         return Matching(len(values) // 2, tuple(values))
     except InvalidMatchingError as exc:
         raise ParseError(str(exc), line=lineno) from None
-
-
-def parse_dotbracket(text: str) -> Matching:
-    """Parse the dot-bracket format; O(L) for L characters."""
-    return _dotbracket(_content_lines(text))
 
 
 def _dotbracket(lines: list[tuple[int, str]]) -> Matching:
@@ -221,11 +210,11 @@ def _dotbracket(lines: list[tuple[int, str]]) -> Matching:
 def parse_input(text: str) -> Matching:
     """Parse a matching in whichever format it is written.
 
-    A well-formed pair list is read from its tokens (``_read_pair_list``),
-    without the per-line walk. Any text that reader declines is split into
-    content lines once, then partner-array, pair-list and dot-bracket are
-    tried in that order: up to three O(L) attempts for L characters, and the
-    failure names each format's faulty line.
+    A well-formed pair list, comments and all, is read from its tokens
+    (``_read_pair_list``), without the per-line walk. Any text that reader
+    declines is split into content lines once, then partner-array, pair-list
+    and dot-bracket are tried in that order: up to three O(L) attempts for L
+    characters, and the failure names each format's faulty line.
     """
     m = _read_pair_list(text)
     return _read_lines(_content_lines(text)) if m is None else m
@@ -272,10 +261,6 @@ def parse_ncn(text: str) -> NCNTriple:
         raise ParseError(str(exc), line=_line_number(text, start)) from None
 
 
-# The characters that end a line for ``str.splitlines``, where "\r\n" ends one.
-_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-
 # A line whose first token, comments stripped, is "nesting" ("\s" is what
 # ``str.isspace`` takes); led by a line break, its search jumps from break to
 # break in C. Compiled on first use (1 ms) into ``re``'s cache, not at import.
@@ -300,11 +285,11 @@ def _nesting_line(text: str, at: int) -> Optional[tuple[int, int]]:
     return None if found is None else found.span(1)
 
 
-def _line_number(text: str, start: int) -> int:
-    """The 1-based number of the line that starts at ``start``, as
-    ``str.splitlines`` numbers them; O(start), for messages only."""
-    return (sum(text.count(c, 0, start) for c in _BREAKS)
-            - text.count("\r\n", 0, start) + 1)
+def _line_number(text: str, at: int) -> int:
+    """The 1-based number of the line holding position ``at``, as
+    ``str.splitlines`` numbers them; O(at), for messages only."""
+    return (sum(text.count(c, 0, at) for c in _BREAKS)
+            - text.count("\r\n", 0, at) + 1)
 
 
 def _nesting_pair(body: str) -> Optional[tuple[int, int]]:
@@ -363,11 +348,12 @@ def emit_dotbracket(m: Matching) -> str:
                    for v, w in enumerate(m.partner))
 
 
-# Each matching format's name, in help order, with its (parser, emitter).
+# Each matching format's name, in help order, with its emitter; ``parse_input``
+# reads all three.
 FORMATS = {
-    "pairs": (parse_pairs, emit_pairs),
-    "partner": (parse_partner, emit_partner),
-    "dotbracket": (parse_dotbracket, lambda m: emit_dotbracket(m) + "\n"),
+    "pairs": emit_pairs,
+    "partner": emit_partner,
+    "dotbracket": lambda m: emit_dotbracket(m) + "\n",
 }
 
 
@@ -375,7 +361,7 @@ def emit_matching(m: Matching, fmt: str) -> str:
     """Serialize in the named format with one table lookup; O(n), dot-bracket
     O(n * families)."""
     try:
-        emit = FORMATS[fmt][1]
+        emit = FORMATS[fmt]
     except KeyError:
         raise ValueError(f"unknown format {fmt!r}; expected one of "
                          f"{', '.join(FORMATS)}") from None

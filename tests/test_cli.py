@@ -504,6 +504,23 @@ class TestExitCodes:
         assert capsys.readouterr() == (
             "", "error: cannot read stdin: byte 0xff on line 3 is not UTF-8\n")
 
+    # The bad byte is on line 4 as ``str.splitlines`` numbers lines, whatever
+    # the breaks before it.
+    @pytest.mark.parametrize("data", [
+        b"2\n0 2\n1 3\n\xff\n", b"2\r\n0 2\r\n1 3\r\n\xff\r\n", b"2\r0 2\r1 3\r\xff\r",
+        "2\u20280 2\x851 3\u2028".encode() + b"\xff\n",
+    ], ids=["LF", "CRLF", "CR", "U+2028-U+0085"])
+    def test_not_utf8_is_numbered_as_the_parser_numbers_lines(self, cli, monkeypatch, capsys,
+                                                              tmp_path, data):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        assert cli(["classify", "--in", str(path)]) == (
+            2, "", f"error: cannot read {path}: byte 0xff on line 4 is not UTF-8\n")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert run(["classify"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: cannot read stdin: byte 0xff on line 4 is not UTF-8\n")
+
     @pytest.mark.parametrize("encoding", [None, "utf-8:strict"])
     def test_stdin_not_utf8_in_a_process(self, encoding):
         # Whatever errors handler the interpreter gives sys.stdin.

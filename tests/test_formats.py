@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -17,11 +18,8 @@ from matchbij import (
     from_pairs,
     is_noncrossing,
     ncn_elements,
-    parse_dotbracket,
     parse_input,
     parse_ncn,
-    parse_pairs,
-    parse_partner,
 )
 from matchbij import formats
 from matchbij.formats import (
@@ -29,87 +27,93 @@ from matchbij.formats import (
     _FAMILY_LIMIT,
     _OPEN,
     _content_lines,
+    _dotbracket,
     _nesting_pair,
+    _pairs,
+    _partner,
     _read_lines,
     _read_pair_list,
 )
 
 
+def refusal(text):
+    """Each format's own part of the message with which ``parse_input``
+    refuses ``text``, by format name."""
+    with pytest.raises(ParseError) as caught:
+        parse_input(text)
+    head, message = "input matches no known format (", str(caught.value)
+    assert message.startswith(head) and message.endswith(")")
+    parts = re.split(r"; (?=(?:pairs|dotbracket): )", message[len(head):-1])
+    return dict(part.split(": ", 1) for part in parts)
+
+
 class TestParsePairs:
     def test_hairpin(self, hairpin):
-        assert parse_pairs("2\n0 2\n1 3\n") == hairpin
+        assert parse_input("2\n0 2\n1 3\n") == hairpin
 
     def test_comments_and_blanks(self, hairpin):
         text = "# a hairpin\n\n2\n0 2   # first arc\n\n1 3\n"
-        assert parse_pairs(text) == hairpin
+        assert parse_input(text) == hairpin
 
     def test_wrong_pair_count(self):
-        with pytest.raises(ParseError, match="expected 3 pair lines, found 2"):
-            parse_pairs("3\n0 1\n2 3\n")
+        assert refusal("3\n0 1\n2 3\n")["pairs"] == "line 1: expected 3 pair lines, found 2"
 
     def test_duplicate_names_line(self):
-        with pytest.raises(ParseError, match="line 3: duplicate position 2"):
-            parse_pairs("2\n0 2\n1 2\n")
+        assert refusal("2\n0 2\n1 2\n")["pairs"].startswith("line 3: duplicate position 2")
 
     def test_non_integer(self):
-        with pytest.raises(ParseError, match="line 2"):
-            parse_pairs("1\nzero 1\n")
+        assert refusal("1\nzero 1\n")["pairs"] == "line 2: non-integer position in 'zero 1'"
 
     def test_out_of_range(self):
-        with pytest.raises(ParseError, match="line 3: position 7 out of range"):
-            parse_pairs("2\n0 1\n2 7\n")
+        assert refusal("2\n0 1\n2 7\n")["pairs"].startswith("line 3: position 7 out of range")
 
     def test_missing_count(self):
-        with pytest.raises(ParseError, match="single integer"):
-            parse_pairs("0 1\n2 3\n")
+        assert refusal("0 1\n2 3\n")["pairs"] == "line 1: expected a single integer edge count"
 
     def test_empty(self):
-        with pytest.raises(ParseError, match="empty input"):
-            parse_pairs("   \n# nothing\n")
+        assert refusal("   \n# nothing\n")["pairs"] == "empty input"
 
 
 class TestParsePartner:
     def test_single_edge(self):
-        assert parse_partner("1 0\n") == from_pairs([(0, 1)], 1)
+        assert parse_input("1 0\n") == from_pairs([(0, 1)], 1)
 
     def test_seven_edges(self, lp_example):
-        assert parse_partner(emit_partner(lp_example)) == lp_example
+        assert parse_input(emit_partner(lp_example)) == lp_example
 
     def test_odd_entry_count(self):
-        with pytest.raises(ParseError, match="even number"):
-            parse_partner("1 0 2\n")
+        assert refusal("1 0 2\n")["partner"] == (
+            "line 1: partner-array needs a positive even number of entries, got 3")
 
     def test_not_an_involution(self):
-        with pytest.raises(ParseError, match="line 1.*involution"):
-            parse_partner("1 2 3 0\n")
+        assert refusal("1 2 3 0\n")["partner"] == (
+            "line 1: partner table is not an involution at position 0")
 
     def test_multiline_rejected(self):
-        with pytest.raises(ParseError, match="single line"):
-            parse_partner("1 0\n3 2\n")
+        assert refusal("1 0\n3 2\n")["partner"] == (
+            "line 2: partner-array input must be a single line")
 
 
 class TestParseDotBracket:
     def test_interleaved_families(self, hairpin):
-        assert parse_dotbracket("([)]") == hairpin
+        assert parse_input("([)]") == hairpin
 
     def test_nested(self):
-        assert parse_dotbracket("(())") == from_pairs([(0, 3), (1, 2)], 2)
+        assert parse_input("(())") == from_pairs([(0, 3), (1, 2)], 2)
 
     def test_letter_families(self):
-        m = parse_dotbracket("(A[)a]")
+        m = parse_input("(A[)a]")
         assert m == from_pairs([(0, 3), (1, 4), (2, 5)], 3)
 
     def test_unbalanced_close(self):
-        with pytest.raises(ParseError, match=r"column 3: unbalanced '\)'"):
-            parse_dotbracket("())(")
+        assert refusal("())(")["dotbracket"] == (
+            "line 1, column 3: unbalanced ')' with no matching '('")
 
     def test_unclosed_open(self):
-        with pytest.raises(ParseError, match=r"column 2: unclosed '\['"):
-            parse_dotbracket("([)")
+        assert refusal("([)")["dotbracket"] == "line 1, column 2: unclosed '['"
 
     def test_unpaired_dot_rejected(self):
-        with pytest.raises(ParseError, match="unexpected character '.'"):
-            parse_dotbracket("(.)")
+        assert refusal("(.)")["dotbracket"] == "line 1, column 2: unexpected character '.'"
 
 
 class TestAutoDetect:
@@ -122,11 +126,6 @@ class TestAutoDetect:
     def test_dotbracket(self, hairpin):
         assert parse_input("([)]\n") == hairpin
 
-    def test_explicit_format(self, hairpin):
-        assert parse_dotbracket("([)]") == hairpin
-        with pytest.raises(ParseError):
-            parse_pairs("([)]")
-
     def test_garbage_reports_all_attempts(self):
         with pytest.raises(ParseError, match="no known format"):
             parse_input("!!!")
@@ -138,10 +137,10 @@ class TestAutoDetect:
     ])
     def test_failure_joins_the_three_parsers_messages(self, text):
         failures = []
-        for name, parse in (("partner", parse_partner), ("pairs", parse_pairs),
-                            ("dotbracket", parse_dotbracket)):
+        for name, parse in (("partner", _partner), ("pairs", _pairs),
+                            ("dotbracket", _dotbracket)):
             with pytest.raises(ParseError) as caught:
-                parse(text)
+                parse(_content_lines(text))
             failures.append(f"{name}: {caught.value}")
         with pytest.raises(ParseError) as caught:
             parse_input(text)
@@ -265,7 +264,6 @@ class TestRoundTrips:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_parse_inverts_emit(self, fmt, n):
         for m in all_matchings(n):
-            assert FORMATS[fmt][0](emit_matching(m, fmt)) == m
             assert parse_input(emit_matching(m, fmt)) == m
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -343,7 +341,7 @@ class TestDotBracketAgainstReference:
         m = from_pairs(pairs, len(pairs))
         text = emitted(emit_dotbracket, m)
         assert text == emitted(reference_emit_dotbracket, m)
-        assert text.startswith("ValueError") or parse_dotbracket(text) == m
+        assert text.startswith("ValueError") or parse_input(text) == m
 
 
 # Every malformed text above, plus texts that the token reader must
@@ -377,6 +375,22 @@ MALFORMED = [
     "1\n0 1\nnesting#c\n", "1\n0 1\nx nesting 0 0\n", "1\n# nesting 1 2\n0 1\nnesting 0 0\n",
     "1\n0 1\nnesting 0 0\n\xa0\n", "1\n# nesting\n0 1\n\n\x0b\nnesting 1 2\n",
 ]
+
+
+@pytest.fixture
+def no_walk(monkeypatch):
+    """Make the per-line walk refuse every text, so that only the token
+    reader can read one."""
+    def refuse(lines):
+        raise AssertionError("a well-formed text reached the per-line walk")
+
+    monkeypatch.setattr(formats, "_read_lines", refuse)
+
+
+def commented(text, brk="\n"):
+    """``text`` after a comment line and with a comment ending each of its
+    lines, every line break written as ``brk``."""
+    return ("# a comment\n" + text.replace("\n", "  # note\n")).replace("\n", brk)
 
 
 def walk_input(text):
@@ -445,18 +459,28 @@ class TestPlainReaderAgainstWalk:
             assert _read_pair_list(emit_pairs(m)) == m  # read by the token reader
 
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_every_triple(self, n, monkeypatch):
-        texts = {t: emit_ncn(t) for t in ncn_elements(n)}
-        for t, text in texts.items():
-            assert walk_ncn(text) == t
+    def test_every_triple(self, n, no_walk):
+        # A triple as ``emit_ncn`` writes it is read without the per-line
+        # walk, which ``walk_ncn`` still reaches through its own import.
+        for t in ncn_elements(n):
+            text = emit_ncn(t)
+            assert walk_ncn(text) == parse_ncn(text) == t
 
-        def refuse(lines):
-            raise AssertionError("an emitted triple reached the per-line walk")
+    @pytest.mark.parametrize("brk", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_commented_pair_list_and_triple(self, n, brk, no_walk):
+        for t in ncn_elements(n):
+            assert parse_ncn(commented(emit_ncn(t), brk)) == t
+        for m in all_matchings(n):
+            assert parse_input(commented(emit_pairs(m), brk)) == m
 
-        # A triple as ``emit_ncn`` writes it is read without the per-line walk.
-        monkeypatch.setattr(formats, "_read_lines", refuse)
-        for t, text in texts.items():
-            assert parse_ncn(text) == t
+    @pytest.mark.slow
+    def test_every_commented_pair_list_to_seven(self, no_walk):
+        for n in range(1, 8):
+            for m in all_matchings(n):
+                text = emit_pairs(m)
+                assert parse_input(commented(text)) == m
+                assert parse_input(commented(text, "\r\n")) == m
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -546,26 +570,22 @@ class TestLongLinesInMessages:
         ("3\n0 1\n", "expected 3 pair lines, found 1"),
     ])
     def test_numbers_are_cut_past_forty_digits(self, text, message):
-        with pytest.raises(ParseError) as info:
-            parse_pairs(text)
-        assert str(info.value).endswith(message)
+        assert refusal(text)["pairs"].endswith(message)
 
     def test_short_lines_are_quoted_whole(self):
-        with pytest.raises(ParseError, match=r"got '0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15'$"):
-            parse_pairs("2\n0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15\n2 3\n")
+        text = "2\n0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15\n2 3\n"
+        assert refusal(text)["pairs"].endswith("got '0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15'")
 
 
 class TestTokenReaderTakesEveryLineBreak:
     @pytest.mark.parametrize("brk", LINE_BREAKS, ids=[repr(b)[1:-1] for b in LINE_BREAKS])
-    def test_never_reaches_the_walk(self, brk, monkeypatch):
-        def refuse(lines):
-            raise AssertionError("a well-formed pair list reached the per-line walk")
-
-        monkeypatch.setattr(formats, "_read_lines", refuse)
+    def test_never_reaches_the_walk(self, brk, no_walk):
         for t in ncn_elements(4):
             pairs = emit_pairs(t.base).replace("\n", brk)
             assert parse_input(pairs) == t.base
             assert parse_ncn(emit_ncn(t).replace("\n", brk)) == t
+            assert parse_input(commented(emit_pairs(t.base), brk)) == t.base
+            assert parse_ncn(commented(emit_ncn(t), brk)) == t
 
 
 class TestNestingLineScan:
