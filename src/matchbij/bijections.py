@@ -30,7 +30,7 @@ from collections import deque
 from typing import Iterator, NamedTuple, Optional
 
 from .core import Edge, LabeledMatching, Matching, NCNTriple, _nested_pairs, _scan, is_noncrossing, nc
-from .lp import _hairpin
+from .lp import _is_lp
 
 __all__ = [
     "NotLPError",
@@ -191,17 +191,14 @@ def phi(m: Matching) -> NCNTriple:
     pair recording the hairpin maxima; noncrossing input maps to itself with
     no pair chosen.
 
-    O(n log n) for n edges plus the one-pass scan behind
-    ``find_inflated_hairpin``, O(n^2 / 30) digit steps at worst; a rejection
-    reads the first crossing pair from the same scan in O(n) more.
+    O(n) for n edges after the one-pass scan, which is O(n^2 / 30) digit
+    steps at worst; the pair is the top bits of the scan's two side masks,
+    and a rejection reads the first crossing pair from the same scan.
     """
-    scanned = _scan(m.partner)
-    decomposition = _hairpin(m, scanned)
-    if decomposition is None:
+    _, cross_count, a_mask, b_mask = scanned = _scan(m.partner)
+    if not _is_lp(m.partner, scanned):
         # The first crossing pair: the least label crossing a larger one (the
-        # lowest bit of the scan's A mask), and the least larger label it
-        # crosses.
-        a_mask = scanned[2]
+        # lowest bit of the A mask), and the least larger label it crosses.
         a = (a_mask & -a_mask).bit_length() - 1
         ends = m._ends
         ra = ends[a - 1][1]
@@ -210,9 +207,9 @@ def phi(m: Matching) -> NCNTriple:
             f"matching is not L & P: crossing pair ({a},{b}) does not belong "
             f"to a single inflated hairpin"
         )
-    if not decomposition.a_side:
+    if not cross_count:
         return NCNTriple(m, None)
-    return NCNTriple(nc(m), (decomposition.a_side[-1], decomposition.b_side[-1]))
+    return NCNTriple(nc(m), (a_mask.bit_length() - 1, b_mask.bit_length() - 1))
 
 
 def phi_inv(t: NCNTriple) -> Matching:
@@ -223,19 +220,21 @@ def phi_inv(t: NCNTriple) -> Matching:
     reassigned, in increasing position, to the side sequences read outermost
     last, which turns every A-B nesting into a crossing.
 
-    O(n log n) for n edges, reading the pair table kept on the base.
+    O(n) for n edges, reading the pair table kept on the base.
     """
     if t.pair is None:
         return t.base
     a, b = t.pair
     ends = t.base._ends
-    # Labels follow left endpoints, so an earlier label encloses a later one
-    # iff its right endpoint lies further right.
-    a_side = [x for x in range(1, a) if ends[x - 1][1] > ends[a - 1][1]] + [a]
-    b_side = [x for x in range(a + 1, b) if ends[x - 1][1] > ends[b - 1][1]] + [b]
-    slots = sorted(ends[x - 1][1] for x in a_side + b_side)
+    # Each side innermost first. Labels follow left endpoints, so an earlier
+    # label encloses a later one iff its right endpoint lies further right.
+    a_side = [a] + [x for x in range(a - 1, 0, -1) if ends[x - 1][1] > ends[a - 1][1]]
+    b_side = [b] + [x for x in range(b - 1, a, -1) if ends[x - 1][1] > ends[b - 1][1]]
+    # Every B arc opens inside arc a, so it also closes inside it: the B
+    # side's right ends, then the A side's, are increasing.
+    slots = [ends[x - 1][1] for x in b_side + a_side]
     partner = list(t.base.partner)
-    for x, right in zip(a_side[::-1] + b_side[::-1], slots):
+    for x, right in zip(a_side + b_side, slots):
         left = ends[x - 1][0]
         partner[left], partner[right] = right, left
     return Matching(t.base.n, tuple(partner))
@@ -301,8 +300,7 @@ def tau_inv(representative: Matching) -> NCNTriple:
 def sigma(m: Matching) -> Matching:
     """The composite bijection: L & P matching to class representative.
 
-    ``tau``'s O(n) time and memory for n edges, after ``phi``'s O(n log n)
-    and its scan.
+    O(n) time and memory for n edges after ``phi``'s one scan.
     """
     return tau(phi(m))
 
@@ -310,7 +308,6 @@ def sigma(m: Matching) -> Matching:
 def sigma_inv(representative: Matching) -> Matching:
     """Inverse of the composite bijection.
 
-    ``tau_inv``'s O(n) time and memory for n edges, then ``phi_inv``'s
-    O(n log n).
+    O(n) time and memory for n edges: ``tau_inv``, then ``phi_inv``.
     """
     return phi_inv(tau_inv(representative))

@@ -15,7 +15,7 @@ from itertools import islice
 from typing import Optional
 
 from .core import NCNTriple, _digits, _quote, _scan, lr_sequence
-from .lp import _hairpin, enumerate_lp, lp_count_formula
+from .lp import _is_lp, enumerate_lp, lp_count_formula
 from .bijections import phi, phi_inv, sigma, sigma_inv, tau, tau_inv
 from .similarity import census, ns_stream
 from .enumeration import (
@@ -200,7 +200,7 @@ def _cmd_classify(args) -> int:
     ne, cr = scanned[:2]
     lines = [
         f"noncrossing: {str(cr == 0).lower()}",
-        f"lp: {str(_hairpin(m, scanned) is not None).lower()}",
+        f"lp: {str(_is_lp(m.partner, scanned)).lower()}",
         f"ne: {ne}",
         f"cr: {cr}",
         f"lr: {lr_sequence(m)}",

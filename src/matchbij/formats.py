@@ -19,7 +19,7 @@ import re
 from itertools import islice, repeat
 from typing import Optional
 
-from .core import InvalidMatchingError, Matching, NCNTriple, _digits, _quote
+from .core import InvalidMatchingError, Matching, NCNTriple, _digits, _quote, is_noncrossing
 
 __all__ = [
     "ParseError",
@@ -254,11 +254,14 @@ def parse_ncn(text: str) -> NCNTriple:
     rest = f"{text[:start]} {text[end:]}" if text[end:].strip() else text[:start]
     try:
         pair = _nesting_pair(text[start:end].split("#", 1)[0].strip())
-        return NCNTriple(parse_input(rest), pair)
-    except ParseError:  # the base's own message
-        raise
-    except ValueError as exc:  # the labels, or a pair the base does not nest
+    except ValueError as exc:
         raise ParseError(str(exc), line=_line_number(text, start)) from None
+    base = parse_input(rest)  # a fault here names its own line
+    try:
+        return NCNTriple(base, pair)
+    except ValueError as exc:  # crossings are the base's, not the line's, fault
+        line = _line_number(text, start) if is_noncrossing(base) else None
+        raise ParseError(str(exc), line=line) from None
 
 
 # A line whose first token, comments stripped, is "nesting" ("\s" is what

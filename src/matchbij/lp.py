@@ -6,12 +6,20 @@ every A-B pair crossing, and with every remaining edge confined to one gap
 between consecutive hairpin endpoints. Noncrossing matchings are the empty-
 hairpin case.
 
+Lemma: a matching with crossings is L & P iff its crossing count is
+|A| |B|, for A the labels crossing a larger label and B those crossing a
+smaller one, and no arc is open where arc k = min A opens. Once the count
+holds, every other edge crosses nothing, so it leaves its gap only by
+enclosing a hairpin arc. It then encloses the arcs crossing that one too,
+so some B arc, and so arc k, which crosses all of B. Conversely an arc open
+at k's left end encloses k: were it to cross k, it would be in A below k.
+
 Counting is exact integer arithmetic throughout; the closed form is
 2 * 4^(n-1) - (3n-1)/(2n+2) * C(2n, n), computed as
 2 * 4^(n-1) - (3n-1) * Catalan(n) / 2, whose one division is always exact.
 """
 
-from bisect import bisect_left
+from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
 from .core import Matching, _digits, _scan
@@ -49,52 +57,42 @@ def find_inflated_hairpin(m: Matching) -> Optional[HairpinDecomposition]:
 
     The candidate sides are forced: A must be the crossing-involved edges
     that cross some larger-labeled edge, B those that cross some smaller-
-    labeled one. The candidate is then checked for disjointness, internal
-    nestedness, completeness of the A-B crossings, and gap confinement of
-    all remaining edges. None means "not an L & P matching"; a decomposition
-    records the two sides only.
+    labeled one. None means "not an L & P matching" (``_is_lp``); a
+    decomposition records the two sides only.
 
     One pass over the partner table (``core._scan``) finds the sides as bit
-    masks and the crossing count, which settles the first three checks at
-    once; listing the sides then takes O(n) and gap confinement
-    O(n log n). In all O(n log n) plus the scan's O(n) int operations on at
-    most n + 1 bits, O(n^2 / 30) digit steps at worst.
+    masks, in O(n) int operations on at most n + 1 bits, O(n^2 / 30) digit
+    steps at worst; the test and the listing of the sides then take O(n).
     """
-    return _hairpin(m, _scan(m.partner))
+    scanned = _scan(m.partner)
+    if not _is_lp(m.partner, scanned):
+        return None
+    return HairpinDecomposition(_labels(scanned[2]), _labels(scanned[3]))
 
 
-def _hairpin(m: Matching, scanned: tuple[int, int, int, int]) -> Optional[HairpinDecomposition]:
-    """``find_inflated_hairpin`` on the result of ``_scan(m.partner)``, for
-    callers that read the scan too; O(n log n)."""
+def _is_lp(partner: tuple[int, ...], scanned: tuple[int, int, int, int]) -> bool:
+    """The L & P test on a partner table and its ``_scan``, for callers that
+    read the scan too; O(n), in C, after it."""
     _, cross_count, a_mask, b_mask = scanned
     if cross_count == 0:
-        return HairpinDecomposition((), ())
+        return True
     # Every crossing pair x < y has x in A and y in B, so the count reaches
     # |A| |B| iff max A < min B (so the sides are disjoint) and every A-B
     # pair crosses. Then each side is nested: two of its arcs cannot cross,
     # as the larger would be on both sides, and two aligned arcs cannot both
     # cross one arc of the other side.
     if cross_count != a_mask.bit_count() * b_mask.bit_count():
-        return None
-
-    a_side, b_side = _labels(a_mask), _labels(b_mask)
-    pairs = m.pairs()
-    hairpin_labels = set(a_side + b_side)
-    hairpin_vertices = sorted(v for x in hairpin_labels for v in pairs[x - 1])
-    # Every other edge lies in one gap between consecutive hairpin endpoints.
-    for label, (left, right) in enumerate(pairs, 1):
-        if label in hairpin_labels:
-            continue
-        if bisect_left(hairpin_vertices, left) != bisect_left(hairpin_vertices, right):
-            return None
-    return HairpinDecomposition(a_side, b_side)
+        return False
+    # Gap confinement, by the module's lemma: arc k = min A opens at 2k - 2,
+    # the k - 1 arcs before it matched among positions 0 .. 2k - 3.
+    opens = 2 * ((a_mask & -a_mask).bit_length() - 2)
+    return max(islice(partner, opens), default=-1) < opens
 
 
 def is_lp(m: Matching) -> bool:
-    """True iff ``m`` is an L & P matching; at the cost of
-    ``find_inflated_hairpin``, O(n log n) plus O(n^2 / 30) digit steps at
-    worst for the scan."""
-    return find_inflated_hairpin(m) is not None
+    """True iff ``m`` is an L & P matching: O(n) after the scan, which is
+    O(n^2 / 30) digit steps at worst."""
+    return _is_lp(m.partner, _scan(m.partner))
 
 
 def lp_count_formula(n: int) -> int:
@@ -111,9 +109,8 @@ def lp_count_formula(n: int) -> int:
 
 def enumerate_lp(n: int) -> Iterator[Matching]:
     """Every L & P matching with n edges in canonical order: the brute filter
-    of ``all_matchings`` by ``is_lp``. Each matching costs its validation and
-    one scan, O(n) int operations at enumerable sizes; an accepted one costs
-    O(n log n) more for its decomposition."""
+    of ``all_matchings`` by ``is_lp``. Each matching costs its validation,
+    one scan and one depth test: O(n) int operations at enumerable sizes."""
     for m in all_matchings(n):
         if is_lp(m):
             yield m

@@ -31,7 +31,7 @@ from .core import (
     rperm,
     stats,
 )
-from .lp import _hairpin, find_inflated_hairpin, lp_count_formula
+from .lp import _is_lp, find_inflated_hairpin, lp_count_formula
 from .bijections import phi, phi_inv, sigma, sigma_inv, swap_sequence, tau, tau_inv
 from .similarity import ClassKey, census, class_key, ns_representatives
 from .enumeration import all_matchings, catalan, double_factorial, ncn_elements, noncrossing_matchings
@@ -99,7 +99,7 @@ class _Families:
             if not (want_core or want_lp):
                 continue
             scanned = _scan(m.partner)
-            if want_lp and _hairpin(m, scanned) is not None:
+            if want_lp and _is_lp(m.partner, scanned):
                 lp.append(m)
             if not want_core:
                 continue

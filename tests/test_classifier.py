@@ -18,8 +18,11 @@ from matchbij import (
     class_key,
     crossings,
     edges,
+    enumerate_lp,
     find_inflated_hairpin,
     from_pairs,
+    is_lp,
+    is_noncrossing,
     matching_from_lr,
     nep,
     nestings,
@@ -134,7 +137,16 @@ def check(m):
     check_scan(m)
     assert tuple(stats(m)) == reference_stats(m)
     d = find_inflated_hairpin(m)
-    assert (None if d is None else (d.a_side, d.b_side)) == reference_hairpin(m)
+    expected = reference_hairpin(m)
+    assert (None if d is None else (d.a_side, d.b_side)) == expected
+    assert is_lp(m) == (expected is not None)
+
+
+def with_arc(pairs, i, j):
+    """The n endpoint pairs plus one new arc at positions i < j of the
+    2n + 2, the old positions shifted past it; as a matching."""
+    slots = [v for v in range(2 * len(pairs) + 2) if v not in (i, j)]
+    return from_pairs([(slots[l], slots[r]) for l, r in pairs] + [(i, j)], len(pairs) + 1)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -147,6 +159,18 @@ def test_every_matching_against_reference(n):
 def test_every_matching_of_size_7_against_reference():
     for m in all_matchings(7):
         check(m)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_one_arc_added_to_a_hairpin_against_reference(n):
+    # The gap test's boundary: the new arc encloses the hairpin, sits in a
+    # gap, or crosses hairpin arcs.
+    for m in enumerate_lp(n):
+        if not is_noncrossing(m):
+            pairs = m.pairs()
+            for i in range(2 * n + 2):
+                for j in range(i + 1, 2 * n + 2):
+                    check(with_arc(pairs, i, j))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -170,18 +194,34 @@ def matchings(draw, max_edges):
 
 @st.composite
 def near_lp_matchings(draw, max_edges):
-    """An L & P matching from a random Dyck word and nested pair, with two
-    arcs' right endpoints exchanged half of the time."""
+    """An L & P matching from a random Dyck word and nested pair, as it is
+    or with one change: two arcs' right endpoints exchanged, the least
+    block of whole arcs around one arc (the hairpin's arc a half of the
+    time) wrapped in a new arc, or a short arc inserted."""
     base = matching_from_lr(draw(dyck_words(max_edges)))
     n = base.n
     order = nep(base)
     index = draw(st.integers(min_value=0, max_value=len(order)))
-    pairs = phi_inv(NCNTriple(base, order[index - 1] if index else None)).pairs()
-    if draw(st.booleans()):
+    pair = order[index - 1] if index else None
+    pairs = phi_inv(NCNTriple(base, pair)).pairs()
+    fault = draw(st.sampled_from(["none", "exchange", "wrap", "insert"]))
+    if fault == "exchange":
         i = draw(st.integers(min_value=0, max_value=n - 1))
         j = draw(st.integers(min_value=0, max_value=n - 1))
         (li, ri), (lj, rj) = pairs[i], pairs[j]
         pairs[i], pairs[j] = (li, rj), (lj, ri)
+    elif fault == "wrap":
+        partner = from_pairs(pairs, n).partner
+        a = pair[0] if pair and draw(st.booleans()) else draw(st.integers(1, n))
+        lo, hi = pairs[a - 1]
+        # Widen the arc's span until it holds whole arcs, so the new arc
+        # crosses none: it wraps a gap's arcs, or the hairpin.
+        while (min(partner[lo:hi + 1]), max(partner[lo:hi + 1])) != (lo, hi):
+            lo, hi = min(lo, *partner[lo:hi + 1]), max(hi, *partner[lo:hi + 1])
+        return with_arc(pairs, lo, hi + 2)
+    elif fault == "insert":
+        i = draw(st.integers(min_value=0, max_value=2 * n))
+        return with_arc(pairs, i, i + 1)
     return from_pairs(pairs, n)
 
 
@@ -199,13 +239,19 @@ def test_near_lp_matchings_against_reference(m):
     check(m)
 
 
-@pytest.mark.parametrize("pairs", [
-    [(k, 2399 - k) for k in range(1200)],  # nested ladder
-    [(k, 1200 + k) for k in range(1200)],  # every pair crosses
-    [(k, 1799 - k) for k in range(600)] + [(600 + k, 2399 - k) for k in range(600)],
-], ids=["ladder", "all-crossing", "hairpin"])
-def test_1200_edges_against_reference(pairs):
-    check(from_pairs(pairs, 1200))
+HAIRPIN_1200 = [(k, 1799 - k) for k in range(600)] + [(600 + k, 2399 - k) for k in range(600)]
+
+
+@pytest.mark.parametrize("m,lp", [
+    (from_pairs([(k, 2399 - k) for k in range(1200)], 1200), True),  # nested ladder
+    (from_pairs([(k, 1200 + k) for k in range(1200)], 1200), False),  # every pair crosses
+    (from_pairs(HAIRPIN_1200, 1200), True),
+    (with_arc(HAIRPIN_1200, 0, 2401), False),
+    (with_arc(HAIRPIN_1200, 0, 1), True),
+], ids=["ladder", "all-crossing", "hairpin", "wrapped-hairpin", "short-arc-then-hairpin"])
+def test_1200_edges_against_reference(m, lp):
+    check(m)
+    assert is_lp(m) == lp
 
 
 def test_random_matching_of_10_to_the_4_edges_against_reference_scan():

@@ -220,6 +220,12 @@ class TestMap:
         code, _, err = cli(["map", "tau-inv"], "5\n0 2\n1 7\n3 5\n4 6\n8 9\n")
         assert code == 1 and "representative" in err
 
+    @pytest.mark.parametrize("stdin", ["2\n0 2\n1 3\nnesting 0 0\n",
+                                       "nesting 0 0\n2\n0 2\n1 3\n"])
+    def test_crossing_base_names_no_nesting_line(self, cli, stdin):
+        # The crossings are the base's fault, wherever the nesting line is.
+        assert cli(["map", "tau"], stdin) == (2, "", "error: base matching has crossings\n")
+
     def test_garbage_input_is_parse_error(self, cli):
         code, _, err = cli(["map", "sigma"], "not a matching")
         assert code == 2 and "error:" in err

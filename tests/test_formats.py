@@ -418,6 +418,8 @@ def walk_ncn(text):
     except ValueError as exc:
         raise ParseError(str(exc), line=lineno) from None
     base = _read_lines(lines)
+    if not is_noncrossing(base):  # the base's fault, not the nesting line's
+        raise ParseError("base matching has crossings")
     try:
         return NCNTriple(base, pair)
     except ValueError as exc:

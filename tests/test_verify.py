@@ -124,25 +124,25 @@ def _count_calls(monkeypatch, name, calls):
 
 
 def test_one_run_builds_each_family_once(monkeypatch):
-    calls = {"_hairpin": 0, "census": 0, "ns_representatives": 0, "sigma": 0}
+    calls = {"_is_lp": 0, "census": 0, "ns_representatives": 0, "sigma": 0}
     for name in calls:
         _count_calls(monkeypatch, name, calls)
     results = run_suite(4, "all")
     assert all(ok for _, ok, _ in results)
-    # _hairpin is the L & P test of the shared walk, once per matching.
-    assert calls == {"_hairpin": 105, "census": 1, "ns_representatives": 1, "sigma": 51}
+    # _is_lp is the L & P test of the shared walk, once per matching.
+    assert calls == {"_is_lp": 105, "census": 1, "ns_representatives": 1, "sigma": 51}
 
 
 @pytest.mark.parametrize("suite,expected", [
     ("core", {"all_matchings": 1, "_scan": 105, "noncrossing_matchings": 1}),
-    ("lp", {"all_matchings": 1, "_scan": 105, "_hairpin": 105}),
-    ("bijections", {"all_matchings": 1, "_scan": 105, "_hairpin": 105, "sigma": 51,
+    ("lp", {"all_matchings": 1, "_scan": 105, "_is_lp": 105}),
+    ("bijections", {"all_matchings": 1, "_scan": 105, "_is_lp": 105, "sigma": 51,
                     "ns_representatives": 1, "noncrossing_matchings": 1, "ncn_elements": 1}),
     ("similarity", {"census": 1, "ns_representatives": 1, "noncrossing_matchings": 1}),
     ("enumeration", {"all_matchings": 1, "noncrossing_matchings": 1, "ncn_elements": 1}),
 ])
 def test_each_suite_builds_only_what_it_reads(monkeypatch, suite, expected):
-    calls = dict.fromkeys(["all_matchings", "_scan", "_hairpin", "sigma", "census",
+    calls = dict.fromkeys(["all_matchings", "_scan", "_is_lp", "sigma", "census",
                            "ns_representatives", "noncrossing_matchings", "ncn_elements"], 0)
     for name in calls:
         _count_calls(monkeypatch, name, calls)
@@ -152,7 +152,7 @@ def test_each_suite_builds_only_what_it_reads(monkeypatch, suite, expected):
 
 
 def test_core_suite_builds_no_lp_list(monkeypatch):
-    monkeypatch.setattr(verify, "_hairpin", None)  # calling it would raise
+    monkeypatch.setattr(verify, "_is_lp", None)  # calling it would raise
     assert all(ok for _, ok, _ in run_suite(4, "core"))
 
 
