@@ -104,9 +104,10 @@ def _swap_walk(base: Matching) -> Iterator[tuple[tuple[int, int], list[int]]]:
     partner table after its swap.
 
     The same list is yielded every time and mutated in place between steps.
-    Each swap is O(1), and none can invert an edge, as in ``_replay``;
-    nothing is validated, so callers build a ``Matching`` from what they
-    keep. The pairs are walked lazily (``_nested_pairs``), in O(n) memory.
+    Each swap is O(1), and none can invert an edge, as in ``_replay``, so
+    every table is valid and callers build a trusted ``Matching``
+    (``Matching._trusted``) from what they keep. The pairs are walked
+    lazily (``_nested_pairs``), in O(n) memory.
     """
     partner = list(base.partner)
     left = [v for v in range(2 * base.n) if v < partner[v]]  # by label - 1
@@ -183,7 +184,7 @@ def _swap_steps(m: Matching) -> Iterator[SwapStep]:
     yield SwapStep(None, m, tuple(range(1, m.n + 1)))
     for pair, partner in _swap_walk(m):
         lperm = tuple(label_of[w] for v, w in enumerate(partner) if v < w)
-        yield SwapStep(pair, Matching(m.n, tuple(partner)), lperm)
+        yield SwapStep(pair, Matching._trusted(m.n, tuple(partner)), lperm)
 
 
 def phi(m: Matching) -> NCNTriple:
@@ -237,19 +238,19 @@ def phi_inv(t: NCNTriple) -> Matching:
     for x, right in zip(a_side + b_side, slots):
         left = ends[x - 1][0]
         partner[left], partner[right] = right, left
-    return Matching(t.base.n, tuple(partner))
+    return Matching._trusted(t.base.n, tuple(partner))
 
 
 def tau(t: NCNTriple) -> Matching:
     """Swap left endpoints along the nested-pair list of the base up to and
     including the chosen pair; no pair means no swaps.
 
-    O(n) time and memory for n edges: one ``_replay`` of the base, then the
-    validation of the image.
+    O(n) time and memory for n edges: one ``_replay`` of the base, whose
+    image is valid by construction and so is not checked again.
     """
     if t.pair is None:
         return t.base
-    return Matching(t.base.n, tuple(_replay(t.base, t.pair)))
+    return Matching._trusted(t.base.n, tuple(_replay(t.base, t.pair)))
 
 
 def tau_inv(representative: Matching) -> NCNTriple:

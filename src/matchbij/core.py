@@ -72,10 +72,25 @@ class Matching:
     Facts derived from the table (the noncrossing verdict, the pair table)
     are computed on first use and kept on the instance; equality, hashing
     and ``repr`` see only ``n`` and ``partner``.
+
+    A table is checked once, where it enters: the constructor, ``from_pairs``
+    and every parser validate it in O(n). ``_trusted`` skips the check, and
+    is only for tables the library itself built valid by construction (the
+    streams and the images of the maps).
     """
 
     n: int
     partner: tuple[int, ...]
+
+    @classmethod
+    def _trusted(cls, n: int, partner: tuple[int, ...]) -> "Matching":
+        """The matching on ``partner``, a table the library built valid by
+        construction, without the ``__post_init__`` check; O(1)."""
+        m = object.__new__(cls)
+        fields = m.__dict__
+        fields["n"] = n
+        fields["partner"] = partner
+        return m
 
     def __post_init__(self):
         if self.n < 1:
@@ -303,7 +318,7 @@ def nc(m: Matching) -> Matching:
     left endpoint (stack discipline), O(n).
     """
     partner = _pair_by_stack([v < w for v, w in enumerate(m.partner)])
-    return Matching(m.n, partner)
+    return Matching._trusted(m.n, partner)
 
 
 def is_noncrossing(m: Matching) -> bool:

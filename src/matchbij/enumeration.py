@@ -131,7 +131,8 @@ def all_matchings(n: int) -> Iterator[Matching]:
 
     One loop with an explicit stack of the pairs placed so far stands in for
     recursion, so each element passes through one generator frame. Amortized
-    O(n) per element, most of it building and validating the ``Matching``.
+    O(n) per element, most of it copying the table into the ``Matching``,
+    which is built trusted (``Matching._trusted``): valid by construction.
     """
     _check_cap(n, "full enumeration")
     size = 2 * n
@@ -151,7 +152,7 @@ def all_matchings(n: int) -> Iterator[Matching]:
                     lo += 1
                 w = lo
                 continue
-            yield Matching(n, tuple(partner))
+            yield Matching._trusted(n, tuple(partner))
             partner[lo] = partner[w] = -1
         # Every partner of lo is tried (the last pair has only one): back up.
         if not placed:
@@ -214,7 +215,7 @@ def noncrossing_matchings(n: int) -> Iterator[Matching]:
     size = 2 * n
     is_left = [True] * n + [False] * n
     while True:
-        yield Matching(n, _pair_by_stack(is_left))
+        yield Matching._trusted(n, _pair_by_stack(is_left))
         later = 0  # the Ls after v
         for v in range(size - 1, -1, -1):
             if is_left[v] and 2 * (n - later - 1) > v:  # more Ls than Rs before v

@@ -109,8 +109,9 @@ def lp_count_formula(n: int) -> int:
 
 def enumerate_lp(n: int) -> Iterator[Matching]:
     """Every L & P matching with n edges in canonical order: the brute filter
-    of ``all_matchings`` by ``is_lp``. Each matching costs its validation,
-    one scan and one depth test: O(n) int operations at enumerable sizes."""
+    of ``all_matchings`` by ``is_lp``. Each matching costs its build (not
+    validated: the stream's tables are valid by construction), one scan and
+    one depth test: O(n) int operations at enumerable sizes."""
     for m in all_matchings(n):
         if is_lp(m):
             yield m

@@ -66,7 +66,7 @@ def ns_stream(n: int):
     for m in noncrossing_matchings(n):
         yield m
         for _, partner in _swap_walk(m):
-            yield Matching(n, tuple(partner))
+            yield Matching._trusted(n, tuple(partner))
 
 
 def ns_representatives(n: int) -> set[Matching]:

@@ -45,7 +45,7 @@ Verdict = tuple[bool, str]
 def mirror(m: Matching) -> Matching:
     """Reflect a matching left to right; O(n)."""
     size = 2 * m.n
-    return Matching(m.n, tuple(size - 1 - w for w in reversed(m.partner)))
+    return Matching._trusted(m.n, tuple(size - 1 - w for w in reversed(m.partner)))
 
 
 def _ok(count: int, what: str) -> Verdict:

@@ -51,18 +51,31 @@ def test_all_matchings_against_recursive_reference(n):
         assert got.partner == want.partner
 
 
+def check_one_trusted_build_each(stream, monkeypatch):
+    """Drain ``stream`` and check that each element it yields is built by
+    exactly one ``Matching._trusted`` call, which the oracle validates with
+    the original ``__post_init__`` check, and that the ``__post_init__``
+    hook of the public constructor runs zero times."""
+    check = Matching.__post_init__
+    trusted = Matching._trusted.__func__
+    built, hooked = [], []
+
+    def validated(cls, n, partner):
+        m = trusted(cls, n, partner)
+        check(m)
+        built.append(partner)
+        return m
+
+    monkeypatch.setattr(Matching, "_trusted", classmethod(validated))
+    monkeypatch.setattr(Matching, "__post_init__", lambda self: hooked.append(self.partner))
+    yielded = [m.partner for m in stream]
+    assert built == yielded
+    assert hooked == []
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_one_validation_per_element(n, monkeypatch):
-    validations = []
-    original = Matching.__post_init__
-
-    def counted(self):
-        validations.append(self.partner)
-        original(self)
-
-    monkeypatch.setattr(Matching, "__post_init__", counted)
-    yielded = [m.partner for m in all_matchings(n)]
-    assert validations == yielded
+    check_one_trusted_build_each(all_matchings(n), monkeypatch)
 
 
 def reference_noncrossing_matchings(n):
@@ -104,16 +117,12 @@ def test_noncrossing_matchings_against_recursive_reference_at_size_12():
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_one_validation_per_noncrossing_element(n, monkeypatch):
-    validations = []
-    original = Matching.__post_init__
+    check_one_trusted_build_each(noncrossing_matchings(n), monkeypatch)
 
-    def counted(self):
-        validations.append(self.partner)
-        original(self)
 
-    monkeypatch.setattr(Matching, "__post_init__", counted)
-    yielded = [m.partner for m in noncrossing_matchings(n)]
-    assert validations == yielded
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_one_validation_per_representative(n, monkeypatch):
+    check_one_trusted_build_each(ns_stream(n), monkeypatch)
 
 
 class TestLargeCatalanStreams:

@@ -117,10 +117,9 @@ def test_tau_inv_rejects_non_representative_with_valid_word_and_deficit():
         tau_inv(m)
 
 
-@st.composite
-def dyck_words(draw, max_edges):
-    n = draw(st.integers(min_value=1, max_value=max_edges))
-    coins = draw(st.lists(st.booleans(), min_size=2 * n, max_size=2 * n))
+def dyck_word(n, coins):
+    """The Dyck word with n pairs read off 2n coins: L on a true coin and R
+    on a false one, except L where no arc is open and R once all n L are used."""
     opens = closes = 0
     word = []
     for coin in coins:
@@ -131,6 +130,12 @@ def dyck_words(draw, max_edges):
             word.append("R")
             closes += 1
     return "".join(word)
+
+
+@st.composite
+def dyck_words(draw, max_edges):
+    n = draw(st.integers(min_value=1, max_value=max_edges))
+    return dyck_word(n, draw(st.lists(st.booleans(), min_size=2 * n, max_size=2 * n)))
 
 
 def with_random_pair(data, base):
