@@ -180,7 +180,7 @@ def swap_sequence(m: Matching) -> Iterator[SwapStep]:
 
 
 def _swap_steps(m: Matching) -> Iterator[SwapStep]:
-    label_of = {right: k for k, (_, right) in enumerate(m._ends, 1)}
+    label_of = {right: k for k, (_, right) in enumerate(m.pairs(), 1)}
     yield SwapStep(None, m, tuple(range(1, m.n + 1)))
     for pair, partner in _swap_walk(m):
         lperm = tuple(label_of[w] for v, w in enumerate(partner) if v < w)
@@ -201,7 +201,7 @@ def phi(m: Matching) -> NCNTriple:
         # The first crossing pair: the least label crossing a larger one (the
         # lowest bit of the A mask), and the least larger label it crosses.
         a = (a_mask & -a_mask).bit_length() - 1
-        ends = m._ends
+        ends = m.pairs()
         ra = ends[a - 1][1]
         b = next(b for b in range(a + 1, m.n + 1) if ends[b - 1][0] < ra < ends[b - 1][1])
         raise NotLPError(
@@ -209,8 +209,8 @@ def phi(m: Matching) -> NCNTriple:
             f"to a single inflated hairpin"
         )
     if not cross_count:
-        return NCNTriple(m, None)
-    return NCNTriple(nc(m), (a_mask.bit_length() - 1, b_mask.bit_length() - 1))
+        return NCNTriple._trusted(m, None)
+    return NCNTriple._trusted(nc(m), (a_mask.bit_length() - 1, b_mask.bit_length() - 1))
 
 
 def phi_inv(t: NCNTriple) -> Matching:
@@ -221,22 +221,24 @@ def phi_inv(t: NCNTriple) -> Matching:
     reassigned, in increasing position, to the side sequences read outermost
     last, which turns every A-B nesting into a crossing.
 
-    O(n) for n edges, reading the pair table kept on the base.
+    O(n) for n edges, reading the base's left ends (by label) once.
     """
     if t.pair is None:
         return t.base
     a, b = t.pair
-    ends = t.base._ends
+    p = t.base.partner
+    lefts = [v for v, w in enumerate(p) if v < w]
+    ra, rb = p[lefts[a - 1]], p[lefts[b - 1]]
     # Each side innermost first. Labels follow left endpoints, so an earlier
     # label encloses a later one iff its right endpoint lies further right.
-    a_side = [a] + [x for x in range(a - 1, 0, -1) if ends[x - 1][1] > ends[a - 1][1]]
-    b_side = [b] + [x for x in range(b - 1, a, -1) if ends[x - 1][1] > ends[b - 1][1]]
+    a_side = [a] + [x for x in range(a - 1, 0, -1) if p[lefts[x - 1]] > ra]
+    b_side = [b] + [x for x in range(b - 1, a, -1) if p[lefts[x - 1]] > rb]
     # Every B arc opens inside arc a, so it also closes inside it: the B
     # side's right ends, then the A side's, are increasing.
-    slots = [ends[x - 1][1] for x in b_side + a_side]
-    partner = list(t.base.partner)
+    slots = [p[lefts[x - 1]] for x in b_side + a_side]
+    partner = list(p)
     for x, right in zip(a_side + b_side, slots):
-        left = ends[x - 1][0]
+        left = lefts[x - 1]
         partner[left], partner[right] = right, left
     return Matching._trusted(t.base.n, tuple(partner))
 
@@ -272,7 +274,7 @@ def tau_inv(representative: Matching) -> NCNTriple:
     """
     base = nc(representative)
     if representative == base:
-        return NCNTriple(base, None)
+        return NCNTriple._trusted(base, None)
     got = representative.partner
     stop = max(v for v, w in enumerate(base.partner) if v < w != got[v])
     k = b = 0  # nested pairs, and labels, that open before the stop
@@ -295,7 +297,7 @@ def tau_inv(representative: Matching) -> NCNTriple:
             f"from the noncrossing projection matches position {v} with "
             f"{replayed[v]}, not {got[v]}"
         )
-    return NCNTriple(base, pair)
+    return NCNTriple._trusted(base, pair)
 
 
 def sigma(m: Matching) -> Matching:

@@ -11,7 +11,6 @@ coordination.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 __all__ = [
@@ -67,16 +66,14 @@ class Matching:
     """A complete matching on 2n points, stored as a partner table.
 
     ``partner[v]`` is the position matched with position ``v``; the table is
-    a fixed-point-free involution of {0, ..., 2n-1}.
-
-    Facts derived from the table (the noncrossing verdict, the pair table)
-    are computed on first use and kept on the instance; equality, hashing
-    and ``repr`` see only ``n`` and ``partner``.
+    a fixed-point-free involution of {0, ..., 2n-1}, and the two fields are
+    all an instance holds.
 
     A table is checked once, where it enters: the constructor, ``from_pairs``
-    and every parser validate it in O(n). ``_trusted`` skips the check, and
-    is only for tables the library itself built valid by construction (the
-    streams and the images of the maps).
+    and every parser check it in O(n). ``_trusted`` skips the check, and is
+    only for tables checked already or built valid by construction (the
+    streams, the images of the maps, and the pair-list and dot-bracket
+    decoders, whose own checks are complete).
     """
 
     n: int
@@ -120,22 +117,6 @@ class Matching:
     def __repr__(self):
         body = ",".join(f"({l},{r})" for l, r in self.pairs())
         return f"Matching[{body}]"
-
-    @cached_property
-    def _noncrossing(self) -> bool:
-        # Noncrossing iff every right endpoint closes the most recent open arc.
-        stack: list[int] = []
-        for v, w in enumerate(self.partner):
-            if v < w:
-                stack.append(v)
-            elif stack.pop() != w:
-                return False
-        return True
-
-    @cached_property
-    def _ends(self) -> tuple[tuple[int, int], ...]:
-        # The pair table: (left, right) of the edge labeled k + 1 at index k.
-        return tuple(self.pairs())
 
 
 class Edge(NamedTuple):
@@ -210,12 +191,22 @@ class NCNTriple:
     ``pair`` is (a, b) with a < b nested in ``base``, or None for "no pair
     chosen" (serialized as the sentinel pair 0 0).
 
-    Construction checks both facts in O(1) per triple after O(n) once per
-    base: the noncrossing verdict and the pair table are kept on the base.
+    A triple is checked once, where it enters, in O(n). ``_trusted`` skips
+    the check, for the triples the library builds valid by construction
+    (``ncn_elements``, ``phi`` and ``tau_inv``).
     """
 
     base: Matching
     pair: Optional[tuple[int, int]] = None
+
+    @classmethod
+    def _trusted(cls, base: Matching, pair: Optional[tuple[int, int]]) -> "NCNTriple":
+        """The triple, valid by construction, without the check; O(1)."""
+        t = object.__new__(cls)
+        fields = t.__dict__
+        fields["base"] = base
+        fields["pair"] = pair
+        return t
 
     def __post_init__(self):
         if not is_noncrossing(self.base):
@@ -226,8 +217,10 @@ class NCNTriple:
                 raise ValueError(
                     f"pair ({_digits(a)}, {_digits(b)}) is not an increasing pair of edge labels"
                 )
-            (la, ra), (lb, rb) = self.base._ends[a - 1], self.base._ends[b - 1]
-            if not (la < lb and rb < ra):
+            # Labels follow left ends, so a opens first: nested iff b closes first.
+            p = self.base.partner
+            lefts = [v for v, w in enumerate(p) if v < w]
+            if p[lefts[b - 1]] > p[lefts[a - 1]]:
                 raise ValueError(f"edges {a} and {b} are not nested in the base")
 
 
@@ -322,12 +315,14 @@ def nc(m: Matching) -> Matching:
 
 
 def is_noncrossing(m: Matching) -> bool:
-    """True iff ``m`` contains no crossing pair of edges.
-
-    O(n) on the first call per matching and O(1) after, since the verdict is
-    kept on the ``Matching``.
-    """
-    return m._noncrossing
+    """True iff ``m`` has no crossing pair: each right end closes the last open arc; O(n)."""
+    stack: list[int] = []
+    for v, w in enumerate(m.partner):
+        if v < w:
+            stack.append(v)
+        elif stack.pop() != w:
+            return False
+    return True
 
 
 def _scan(partner: tuple[int, ...]) -> tuple[int, int, int, int]:

@@ -233,10 +233,10 @@ def ncn_elements(n: int):
     by (M, p) for every nested pair p of M, in ``nep`` order. The pairs are
     walked lazily (``_nested_pairs``), so the stream holds O(n) at a time
     and reaches its first items in O(n) memory at any size the cap admits.
-    Each base costs O(n) and each triple O(1) after it: a triple is checked
-    against the noncrossing verdict and pair table kept on its base.
+    Each base costs O(n) and each triple O(1) after it: a triple is valid by
+    construction, so it is built unchecked (``NCNTriple._trusted``).
     """
     for m in noncrossing_matchings(n):
-        yield NCNTriple(m, None)
+        yield NCNTriple._trusted(m, None)
         for p in _nested_pairs(m):
-            yield NCNTriple(m, p)
+            yield NCNTriple._trusted(m, p)

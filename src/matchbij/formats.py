@@ -73,7 +73,8 @@ def _pairs(lines: list[tuple[int, str]]) -> Matching:
     """The per-line pair-list walk over content lines: it names the line at
     fault. Each pair goes into one partner table as its line is read; the
     line of a repeated position's first use is looked up once one is found.
-    O(L) time for L characters, with the lines and the table held at once."""
+    That check is complete, so the table is not checked again. O(L) time for
+    L characters, with the lines and the table held at once."""
     if not lines:
         raise ParseError("empty input")
     lineno, head = lines[0]
@@ -109,7 +110,7 @@ def _pairs(lines: list[tuple[int, str]]) -> Matching:
                     else f"duplicate position {v} (first used on line {first})",
                     line=lineno)
             partner[v] = w
-    return Matching(n, tuple(partner))
+    return Matching._trusted(n, tuple(partner))
 
 
 def _read_pair_list(text: str) -> Optional[Matching]:
@@ -203,8 +204,8 @@ def _dotbracket(lines: list[tuple[int, str]]) -> Matching:
         if stack:
             raise ParseError(
                 f"unclosed {_OPEN[fam]!r}", line=lineno, column=stack[-1] + 1)
-    # A decode that succeeds pairs every character.
-    return Matching(len(body) // 2, tuple(partner))
+    # A decode that succeeds pairs every character: the table is valid.
+    return Matching._trusted(len(body) // 2, tuple(partner))
 
 
 def parse_input(text: str) -> Matching:

@@ -1,9 +1,10 @@
 """Differential tests for the NCN triple check and the facts it reads.
 
-``NCNTriple`` checks a triple against the noncrossing verdict and the pair
-table kept on its base ``Matching``. The references below recompute both from
-scratch for every triple, as the check did before those facts were kept: a
-stack scan of the partner table and the base's ``Edge`` list.
+``NCNTriple`` checks a triple's base with ``is_noncrossing`` and its pair
+against the base's left ends, both read from the partner table. The
+references below recompute both another way for every triple: a stack scan
+of the partner table and the base's ``Edge`` list. A ``_trusted`` build,
+which skips the check, equals the checked build of the same value.
 """
 
 import itertools
@@ -11,8 +12,8 @@ import pickle
 
 import pytest
 
-from matchbij.bijections import NCNTriple, swap_sequence
-from matchbij.core import Matching, edges, is_noncrossing
+from matchbij.bijections import NCNTriple, phi_inv, swap_sequence
+from matchbij.core import Matching, edges, is_noncrossing, nep
 from matchbij.enumeration import all_matchings, noncrossing_matchings
 from matchbij.formats import ParseError, emit_pairs, parse_ncn
 
@@ -92,7 +93,7 @@ def test_verdict_matches_stack_scan(n):
     for m in all_matchings(n):
         expected = reference_is_noncrossing(m)
         assert is_noncrossing(m) == expected, m
-        assert is_noncrossing(m) == expected, m  # the kept verdict
+        assert is_noncrossing(m) == expected, m  # a second call agrees
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -104,16 +105,30 @@ def test_verdict_on_labeled_matchings(n):
 
 
 @pytest.mark.parametrize("partner", [(1, 0), (3, 2, 1, 0), (2, 3, 0, 1), (5, 2, 1, 4, 3, 0)])
-def test_kept_facts_leave_equality_and_hash_alone(partner):
+def test_trusted_builds_equal_checked_builds(partner):
     n = len(partner) // 2
-    warm, cold = Matching(n, partner), Matching(n, partner)
-    if is_noncrossing(warm) and n > 1:
-        NCNTriple(warm, (1, n))  # reads the pair table too
-    assert warm == cold and cold == warm
-    assert hash(warm) == hash(cold)
-    assert repr(warm) == repr(cold)
-    assert len({warm, cold}) == 1
-    for copy in (pickle.loads(pickle.dumps(warm)), pickle.loads(pickle.dumps(cold))):
-        assert copy == warm and copy == cold
-        assert hash(copy) == hash(cold)
-        assert is_noncrossing(copy) == reference_is_noncrossing(cold)
+    trusted, checked = Matching._trusted(n, partner), Matching(n, partner)
+    builds = [(trusted, checked)]
+    if reference_is_noncrossing(checked):
+        pair = (nep(checked) or [None])[-1]
+        builds.append((NCNTriple._trusted(trusted, pair), NCNTriple(checked, pair)))
+    for x, y in builds:
+        assert x == y and y == x
+        assert hash(x) == hash(y)
+        assert repr(x) == repr(y)
+        assert len({x, y}) == 1
+        for copy in (pickle.loads(pickle.dumps(x)), pickle.loads(pickle.dumps(y))):
+            assert copy == x and x == copy and copy == y and y == copy
+            assert hash(copy) == hash(y)
+            assert repr(copy) == repr(y)
+
+
+@pytest.mark.parametrize("partner", [(1, 0), (3, 2, 1, 0), (2, 3, 0, 1), (5, 2, 1, 4, 3, 0)])
+def test_a_matching_holds_its_two_fields_only(partner):
+    n = len(partner) // 2
+    m = Matching(n, partner)
+    if is_noncrossing(m):
+        pair = (nep(m) or [None])[-1]
+        phi_inv(NCNTriple(m, pair))
+        list(swap_sequence(m))
+    assert vars(m).keys() == {"n", "partner"}

@@ -1,11 +1,13 @@
-"""Every matching the library builds without the check is a valid one.
+"""Every matching and triple the library builds without the check is valid.
 
-Streams and map images are built by ``Matching._trusted``, which skips the
-``__post_init__`` check because the library made the table valid by
-construction. Here ``_trusted`` is patched to run that check (the oracle)
-on every instance it builds, and every stream and map is run over small n
-and over the large triples of ``tests/dyck_triple.py``: none may raise
-``InvalidMatchingError``.
+Streams, map images and the two complete decoders (pair-list walk and
+dot-bracket) build by ``Matching._trusted``, and ``ncn_elements``, ``phi``
+and ``tau_inv`` build by ``NCNTriple._trusted``; both skip the
+``__post_init__`` check because the library made the value valid by
+construction. Here each ``_trusted`` is patched to run that check (the
+oracle) on every instance it builds, and every stream, map and decoder is
+run over small n and over the large triples of ``tests/dyck_triple.py``:
+none may raise.
 """
 
 import io
@@ -17,8 +19,10 @@ import dyck_triple
 from matchbij import (
     InvalidMatchingError,
     Matching,
+    NCNTriple,
     all_matchings,
     enumerate_lp,
+    formats,
     nc,
     ncn_elements,
     noncrossing_matchings,
@@ -31,7 +35,7 @@ from matchbij import (
     tau,
     tau_inv,
 )
-from matchbij.formats import parse_ncn
+from matchbij.formats import emit_dotbracket, emit_pairs, parse_input, parse_ncn
 from matchbij.verify import mirror
 
 
@@ -54,6 +58,25 @@ def validated_builds(monkeypatch):
     return builds
 
 
+@pytest.fixture(autouse=True)
+def validated_triples(monkeypatch):
+    """Make ``NCNTriple._trusted`` validate what it builds; the number of
+    builds is returned."""
+    check = NCNTriple.__post_init__
+    trusted = NCNTriple._trusted.__func__
+    builds = [0]
+
+    def validated(cls, base, pair):
+        assert type(base) is Matching and (pair is None or type(pair) is tuple)
+        t = trusted(cls, base, pair)
+        check(t)
+        builds[0] += 1
+        return t
+
+    monkeypatch.setattr(NCNTriple, "_trusted", classmethod(validated))
+    return builds
+
+
 def test_the_oracle_rejects_an_invalid_table(validated_builds):
     with pytest.raises(InvalidMatchingError, match="not an involution at position 0"):
         Matching._trusted(2, (1, 2, 3, 0))
@@ -61,6 +84,40 @@ def test_the_oracle_rejects_an_invalid_table(validated_builds):
         Matching._trusted(1, [1, 0])
     assert Matching._trusted(1, (1, 0)) == Matching(1, (1, 0))
     assert validated_builds[0] == 1
+
+
+def test_the_triple_oracle_rejects_an_invalid_triple(validated_triples):
+    ladder = Matching(2, (3, 2, 1, 0))
+    with pytest.raises(ValueError, match="not an increasing pair"):
+        NCNTriple._trusted(ladder, (2, 1))
+    with pytest.raises(ValueError, match="base matching has crossings"):
+        NCNTriple._trusted(Matching(2, (2, 3, 0, 1)), None)
+    with pytest.raises(AssertionError):
+        NCNTriple._trusted(ladder, [1, 2])
+    assert NCNTriple._trusted(ladder, (1, 2)) == NCNTriple(ladder, (1, 2))
+    assert validated_triples[0] == 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_library_built_triples(n, validated_triples):
+    count = len(list(ncn_elements(n)))
+    assert validated_triples[0] == count
+    if n <= 7:
+        count += len([phi(m) for m in enumerate_lp(n)])
+        assert validated_triples[0] == count
+    count += len([tau_inv(r) for r in ns_stream(n)])
+    assert validated_triples[0] == count
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_complete_decoders(n, validated_builds):
+    count = 0
+    for m in all_matchings(n):
+        assert parse_input(emit_dotbracket(m)) == m
+        # Called directly: parse_input reads a valid pair list by its tokens.
+        assert formats._pairs(formats._content_lines(emit_pairs(m))) == m
+        count += 1
+    assert validated_builds[0] == 3 * count  # the element and both decodes
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -94,7 +151,7 @@ def test_catalan_streams_and_their_images(n, validated_builds):
 
 
 @pytest.mark.parametrize("size,index", [(1000, 1), (1000, 10 ** 4), (10 ** 4, 10 ** 5)])
-def test_dyck_triples(size, index, validated_builds):
+def test_dyck_triples(size, index, validated_builds, validated_triples):
     text = io.StringIO()
     with redirect_stdout(text):
         dyck_triple.main(size, index)
@@ -107,3 +164,4 @@ def test_dyck_triples(size, index, validated_builds):
     assert sigma_inv(rep) == lp
     assert mirror(mirror(rep)) == rep
     assert validated_builds[0] >= 4
+    assert validated_triples[0] == 4  # tau_inv and phi, each alone and in sigma or sigma_inv
