@@ -4,7 +4,7 @@ Subcommands: count, map, classify, enumerate, verify, render. Matchings are
 read from stdin (or --in FILE) in any of the supported formats; counts print
 as bare decimal integers. Exit codes: 0 success, 1 domain errors (not L & P,
 not a representative, enumeration cap), 2 usage, input-parse and stdin or
-stdout errors.
+stdout errors, and running out of memory ("error: out of memory").
 """
 
 import argparse
@@ -287,6 +287,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         return 0
     except OSError as exc:  # writing stdout: an input's own OSError is a ParseError
         sys.stderr.write(f"error: cannot write stdout: {exc.strerror}\n")
+        return 2
+    except MemoryError:  # an input too large for the memory the process may use
+        sys.stderr.write("error: out of memory\n")
         return 2
     except ValueError as exc:  # not L & P, not a representative, a cap, ...
         sys.stderr.write(f"error: {exc}\n")

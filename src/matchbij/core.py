@@ -72,8 +72,8 @@ class Matching:
     A table is checked once, where it enters: the constructor, ``from_pairs``
     and every parser check it in O(n). ``_trusted`` skips the check, and is
     only for tables checked already or built valid by construction (the
-    streams, the images of the maps, and the pair-list and dot-bracket
-    decoders, whose own checks are complete).
+    streams, the images of the maps, the pair-list reader, which checks
+    each pair as it fills the table, and the dot-bracket decoder).
     """
 
     n: int

@@ -16,8 +16,7 @@ chosen; it is read back from a matching in any format plus that line.
 """
 
 import re
-from itertools import islice, repeat
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import InvalidMatchingError, Matching, NCNTriple, _digits, _quote, is_noncrossing
 
@@ -41,6 +40,9 @@ _FAMILY_LIMIT = len(_OPEN)
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # A comment: from its "#" up to the break that ends its line.
 _COMMENT = f"#[^{_BREAKS}]*"
+# A line and the break that ends it; the last line may have none, and the
+# last match is empty.
+_LINE = f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}]|\\Z)"
 
 
 class ParseError(ValueError):
@@ -59,115 +61,111 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    """Non-blank lines with comments stripped, tagged with 1-based numbers."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Non-blank lines with comments stripped, tagged with 1-based numbers as
+    ``str.splitlines`` numbers them, found one at a time: a reader that takes
+    the first two holds no more of the text than those."""
+    for lineno, line in enumerate(re.finditer(_LINE, text), start=1):
+        body = line[1].split("#", 1)[0].strip()
         if body:
-            out.append((lineno, body))
-    return out
+            yield lineno, body
 
 
-def _pairs(lines: list[tuple[int, str]]) -> Matching:
-    """The per-line pair-list walk over content lines: it names the line at
-    fault. Each pair goes into one partner table as its line is read; the
-    line of a repeated position's first use is looked up once one is found.
-    That check is complete, so the table is not checked again. O(L) time for
-    L characters, with the lines and the table held at once."""
-    if not lines:
+def _pairs(text: str) -> Matching:
+    """The pair-list reader; a refusal names the line at fault.
+
+    Comments are cut first, each up to the break that ends its line (one
+    ``re.sub`` and one copy, only for a text holding a "#"). The text is
+    split into lines once and its content lines are counted, so a wrong
+    count is refused before any pair is read. Each pair line gets one split,
+    two ``int``s and one test (both positions in 0..2n-1, unequal and free)
+    before it fills the table; those checks are complete, so the table is
+    not checked again. O(L) time for L characters, also on a fault; the
+    lines and the table are held at once.
+    """
+    if "#" in text:
+        text = re.sub(_COMMENT, "", text)
+    lines = text.splitlines()
+    found = sum(map(bool, map(str.strip, lines))) - 1  # content lines past the count
+    if found < 0:
         raise ParseError("empty input")
-    lineno, head = lines[0]
-    if len(head.split()) != 1:
-        raise ParseError("expected a single integer edge count", line=lineno)
+    rows = enumerate(lines, start=1)
+    for count_line, head in rows:
+        head = head.strip()
+        if head:
+            break
+    if len(head.split(None, 1)) != 1:
+        raise ParseError("expected a single integer edge count", line=count_line)
     try:
         n = int(head)
     except ValueError:
-        raise ParseError(f"invalid edge count {_quote(head)}", line=lineno) from None
-    body = lines[1:]
-    if len(body) != n:
-        raise ParseError(f"expected {_digits(n)} pair lines, found {len(body)}",
-                         line=lineno)
+        raise ParseError(f"invalid edge count {_quote(head)}", line=count_line) from None
+    if found != n:
+        raise ParseError(f"expected {_digits(n)} pair lines, found {found}", line=count_line)
     if n < 1:
-        raise ParseError(f"edge count must be positive, got {n}", line=lineno)
-    partner = [-1] * (2 * n)
-    for lineno, line in body:
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(f"expected two positions, got {_quote(line)}", line=lineno)
+        raise ParseError(f"edge count must be positive, got {n}", line=count_line)
+    size = 2 * n
+    partner = [-1] * size
+    for lineno, line in rows:
         try:
-            a, b = int(tokens[0]), int(tokens[1])
+            a, b = line.split()
+            a = int(a)
+            b = int(b)
+            if -1 < a < size > b > -1 and a != b and partner[a] == partner[b] == -1:
+                partner[a] = b
+                partner[b] = a
+                continue
         except ValueError:
-            raise ParseError(f"non-integer position in {_quote(line)}", line=lineno) from None
-        for v, w in ((a, b), (b, a)):
-            if not 0 <= v < 2 * n:
-                raise ParseError(f"position {_digits(v)} out of range 0..{2 * n - 1}",
-                                 line=lineno)
-            if partner[v] >= 0:
-                first = next(no for no, text in body if v in map(int, text.split()))
-                raise ParseError(
-                    f"position {v} is matched to itself" if first == lineno
-                    else f"duplicate position {v} (first used on line {first})",
-                    line=lineno)
-            partner[v] = w
+            pass
+        _read_pair_line(lines, count_line, lineno, partner)  # a blank line, or a fault
     return Matching._trusted(n, tuple(partner))
 
 
-def _read_pair_list(text: str) -> Optional[Matching]:
-    """The matching of a text that is a well-formed pair list, or None.
-
-    A text holding a "#" loses its comments first, each cut up to the break
-    that ends its line as ``_content_lines`` cuts it (one ``re.sub``, one
-    copy of the text). The text is read when it is one count line n, then
-    blank lines or lines of two tokens, 2n + 1 tokens in all (one pass over
-    its lines, split as the per-line walk splits them, counts at most three
-    tokens a line, so a partner array's one long line is declined without
-    being split whole): with one split and one ``int`` per token into a
-    partner table, whose ``Matching`` validation is the only check on the
-    positions. Any other text, and a pair list that does not encode a
-    matching, gives None, so that the per-line walk reads it and names the
-    line at fault; where this returns a matching, the walk returns the same
-    one. O(L) time for L characters; the tokens and the partner table are
-    held at once, about 100 bytes per token.
-    """
-    if "#" in text:  # a plain text is not copied
-        text = re.sub(_COMMENT, "", text)
-    sizes = filter(None, map(len, map(str.split, text.splitlines(), repeat(None), repeat(2))))
-    if next(sizes, 0) != 1 or not set(sizes) <= {2}:
-        return None
-    tokens = text.split()
+def _read_pair_line(lines: list[str], count_line: int, lineno: int,
+                    partner: list[int]) -> None:
+    """Read pair line ``lineno`` into ``partner`` one check at a time, in the
+    order that names the first of several faults: two tokens, two integers,
+    then each position's range and freedom, the first written before the
+    second is checked. A blank line is skipped. A repeat's first use is
+    looked up among the lines past ``count_line``: O(L) for L characters."""
+    body = lines[lineno - 1].strip()
+    if not body:
+        return
+    tokens = body.split()
+    if len(tokens) != 2:
+        raise ParseError(f"expected two positions, got {_quote(body)}", line=lineno)
     try:
-        n = int(tokens[0])
-    except ValueError:  # past the interpreter's int-digit limit
-        return None
-    if len(tokens) != 2 * n + 1:
-        return None
-    partner = [-1] * (2 * n)
-    ends = map(int, islice(tokens, 1, None))
-    try:
-        for a, b in zip(ends, ends):
-            partner[a] = b
-            partner[b] = a
-    except (ValueError, IndexError):  # past the digit limit, or past 2n - 1
-        return None
-    del tokens, ends
-    try:
-        return Matching(n, tuple(partner))
-    except InvalidMatchingError:  # n = 0, a repeated position or a self-pair
-        return None
+        a, b = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ParseError(f"non-integer position in {_quote(body)}", line=lineno) from None
+    for v, w in ((a, b), (b, a)):
+        if not 0 <= v < len(partner):
+            raise ParseError(f"position {_digits(v)} out of range 0..{len(partner) - 1}",
+                             line=lineno)
+        if partner[v] >= 0:
+            first = next(no for no, line in enumerate(lines, start=1)
+                         if no > count_line and v in map(int, line.split()))
+            raise ParseError(
+                f"position {v} is matched to itself" if first == lineno
+                else f"duplicate position {v} (first used on line {first})",
+                line=lineno)
+        partner[v] = w
 
 
-def _single_line(lines: list[tuple[int, str]], name: str) -> tuple[int, str]:
-    """The one content line of a single-line format, as (lineno, body)."""
-    if not lines:
+def _single_line(text: str, name: str) -> tuple[int, str]:
+    """The one content line of a single-line format, as (lineno, body); no
+    more than two content lines are taken from the text."""
+    lines = _content_lines(text)
+    first, second = next(lines, None), next(lines, None)
+    if first is None:
         raise ParseError("empty input")
-    if len(lines) != 1:
-        raise ParseError(f"{name} input must be a single line", line=lines[1][0])
-    return lines[0]
+    if second is not None:
+        raise ParseError(f"{name} input must be a single line", line=second[0])
+    return first
 
 
-def _partner(lines: list[tuple[int, str]]) -> Matching:
-    lineno, line = _single_line(lines, "partner-array")
+def _partner(text: str) -> Matching:
+    lineno, line = _single_line(text, "partner-array")
     tokens = line.split()
     try:
         values = [int(t) for t in tokens]
@@ -182,8 +180,8 @@ def _partner(lines: list[tuple[int, str]]) -> Matching:
         raise ParseError(str(exc), line=lineno) from None
 
 
-def _dotbracket(lines: list[tuple[int, str]]) -> Matching:
-    lineno, body = _single_line(lines, "dot-bracket")
+def _dotbracket(text: str) -> Matching:
+    lineno, body = _single_line(text, "dot-bracket")
     stacks: dict[int, list[int]] = {}
     partner = [0] * len(body)
     for i, c in enumerate(body):
@@ -211,26 +209,22 @@ def _dotbracket(lines: list[tuple[int, str]]) -> Matching:
 def parse_input(text: str) -> Matching:
     """Parse a matching in whichever format it is written.
 
-    A well-formed pair list, comments and all, is read from its tokens
-    (``_read_pair_list``), without the per-line walk. Any text that reader
-    declines is split into content lines once, then partner-array, pair-list
-    and dot-bracket are tried in that order: up to three O(L) attempts for L
-    characters, and the failure names each format's faulty line.
+    The pair-list reader ``_pairs`` reads every text first. Only a text it
+    refuses goes to partner-array and then dot-bracket, each of which reads
+    at most two content lines; no text is valid in two formats, so the
+    order changes no result. A text that all three refuse gets one message
+    naming each format's faulty line, in the order partner-array, pair-list,
+    dot-bracket. O(L) time for L characters; what ``_pairs`` holds is freed
+    before the other two run.
     """
-    m = _read_pair_list(text)
-    return _read_lines(_content_lines(text)) if m is None else m
-
-
-def _read_lines(lines: list[tuple[int, str]]) -> Matching:
-    """The per-line walk behind ``parse_input``, over its content lines."""
-    failures = []
-    for name, parse in (("partner", _partner), ("pairs", _pairs),
-                        ("dotbracket", _dotbracket)):
+    failures = {}
+    for name, parse in (("pairs", _pairs), ("partner", _partner), ("dotbracket", _dotbracket)):
         try:
-            return parse(lines)
+            return parse(text)
         except ParseError as exc:
-            failures.append(f"{name}: {exc}")
-    raise ParseError("input matches no known format (" + "; ".join(failures) + ")")
+            failures[name] = f"{name}: {exc}"
+    raise ParseError("input matches no known format ({partner}; {pairs}; {dotbracket})"
+                     .format_map(failures))
 
 
 def parse_ncn(text: str) -> NCNTriple:

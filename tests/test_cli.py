@@ -571,6 +571,16 @@ class TestExitCodes:
         assert run(["count", "lp", "--n", "3"]) == 2
         assert capsys.readouterr().err == "error: cannot write stdout: stdout is closed\n"
 
+    def test_out_of_memory(self, cli, monkeypatch):
+        # One line and the input-failure code, where the interpreter would
+        # print a traceback.
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli_module._COMMANDS, "map", exhausted)
+        assert cli(["map", "tau"], "1\n0 1\nnesting 0 0\n") == (
+            2, "", "error: out of memory\n")
+
     @pytest.mark.parametrize("failing", ["write", "flush"])
     def test_full_stdout(self, monkeypatch, capsys, failing):
         class Full(io.StringIO):

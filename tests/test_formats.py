@@ -21,18 +21,15 @@ from matchbij import (
     parse_input,
     parse_ncn,
 )
-from matchbij import formats
+from matchbij.core import Matching, _digits, _quote
 from matchbij.formats import (
     _CLOSE,
     _FAMILY_LIMIT,
     _OPEN,
-    _content_lines,
     _dotbracket,
     _nesting_pair,
     _pairs,
     _partner,
-    _read_lines,
-    _read_pair_list,
 )
 
 
@@ -66,6 +63,18 @@ class TestParsePairs:
 
     def test_out_of_range(self):
         assert refusal("2\n0 1\n2 7\n")["pairs"].startswith("line 3: position 7 out of range")
+
+    @pytest.mark.parametrize("text,message", [
+        ("2\n0 1\n1 9\n", "line 3: duplicate position 1 (first used on line 2)"),
+        ("2\n0 1\n9 1\n", "line 3: position 9 out of range 0..3"),
+        ("2\n0 1\n-1 9\n", "line 3: position -1 out of range 0..3"),
+        ("2\n0 1\n0 0\n", "line 3: duplicate position 0 (first used on line 2)"),
+        ("2\n0 1\n2 2\n", "line 3: position 2 is matched to itself"),
+        ("2\n0 1\nx -1\n", "line 3: non-integer position in 'x -1'"),
+    ])
+    def test_first_fault_of_a_line_is_named(self, text, message):
+        # The left position is checked, range first, before the right one.
+        assert refusal(text)["pairs"] == message
 
     def test_missing_count(self):
         assert refusal("0 1\n2 3\n")["pairs"] == "line 1: expected a single integer edge count"
@@ -140,7 +149,7 @@ class TestAutoDetect:
         for name, parse in (("partner", _partner), ("pairs", _pairs),
                             ("dotbracket", _dotbracket)):
             with pytest.raises(ParseError) as caught:
-                parse(_content_lines(text))
+                parse(text)
             failures.append(f"{name}: {caught.value}")
         with pytest.raises(ParseError) as caught:
             parse_input(text)
@@ -344,13 +353,16 @@ class TestDotBracketAgainstReference:
         assert text.startswith("ValueError") or parse_input(text) == m
 
 
-# Every malformed text above, plus texts that the token reader must
-# decline for the per-line walk: 1- and 3-token lines with the right token count,
-# repeated positions, self-pairs, positions past 2n - 1, counts of zero and
-# past the digit limit, a count with too few or too many pair lines, and
-# line breaks other than "\n" between the two positions of a line; and nesting
+# Every malformed text above, plus 1- and 3-token lines with the right token
+# count, repeated positions, self-pairs, positions past 2n - 1, counts of zero
+# and past the digit limit, a count with too few or too many pair lines, and
+# line breaks other than "\n" between the two positions of a line; nesting
 # lines after every kind of line break, behind spaces other than " " and "\t",
-# and next to texts that only look like one.
+# and next to texts that only look like one; and, since the pair-list reader
+# builds its table unchecked, negative positions on the first, a middle and
+# the last pair line (which must not index from the end of the table),
+# self-pairs and repeats after blank lines, comments and breaks other than
+# "\n", and lines with a fault in both positions.
 MALFORMED = [
     "3\n0 1\n2 3\n", "2\n0 2\n1 2\n", "1\nzero 1\n", "2\n0 1\n2 7\n",
     "0 1\n2 3\n", "   \n# nothing\n", "1 0 2\n", "1 2 3 0\n", "1 0\n3 2\n",
@@ -374,17 +386,14 @@ MALFORMED = [
     "1\n0 1\n\x1fnesting 0 0\n", "1\n0 1\n\xa0nesting 0 0\n", "1\n0 1\n\u3000nesting 0 0\n",
     "1\n0 1\nnesting#c\n", "1\n0 1\nx nesting 0 0\n", "1\n# nesting 1 2\n0 1\nnesting 0 0\n",
     "1\n0 1\nnesting 0 0\n\xa0\n", "1\n# nesting\n0 1\n\n\x0b\nnesting 1 2\n",
+    "3\n-1 5\n0 1\n2 3\n", "3\n0 1\n-2 3\n4 5\n", "3\n0 1\n2 3\n4 -1\n",
+    "3\n0 1\n2 3\n-6 4\n", "3\n0 1\n2 3\n5 -2\n", "3\n-6 -5\n0 1\n2 3\n",
+    "3\n0 1\n4 4\n2 3\n", "3\n0 1\n2 3\n5 5\n", "3\n5 5\n0 1\n2 3\n",
+    "# head\n\n3\r\n\n# note\x0b0 5 # first\x1c\n2 3\u20284 0\n",
+    "\x0c3\x85\x1d1 4 # x\u2029\r\n\x1e0 2\r\r3 4\n",
+    "2\n0 1\n1 9\n", "2\n0 1\n9 1\n", "2\n0 1\n-1 0\n", "2\n0 1\n0 0\n",
+    "2\n0 1\n2 1\n", "2\n0 1\n9 -9\n", "2\n0 1\nx 9\n", "2\n0 1\n9 x\n",
 ]
-
-
-@pytest.fixture
-def no_walk(monkeypatch):
-    """Make the per-line walk refuse every text, so that only the token
-    reader can read one."""
-    def refuse(lines):
-        raise AssertionError("a well-formed text reached the per-line walk")
-
-    monkeypatch.setattr(formats, "_read_lines", refuse)
 
 
 def commented(text, brk="\n"):
@@ -393,16 +402,85 @@ def commented(text, brk="\n"):
     return ("# a comment\n" + text.replace("\n", "  # note\n")).replace("\n", brk)
 
 
+# The reference that ``parse_input`` and ``parse_ncn`` are compared with: a
+# per-line walk that cuts the text into (line number, body) content lines
+# first, as a list, and tries partner-array, pair-list and dot-bracket in
+# that order (``walk_input``). Its pair walk builds through the checking
+# constructor.
+
+
+def _reference_content_lines(text):
+    """Non-blank lines with comments stripped, tagged with 1-based numbers."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            out.append((lineno, body))
+    return out
+
+
+def _reference_pairs(lines):
+    """The per-line pair-list walk over content lines: it names the line at
+    fault. Each pair goes into one partner table as its line is read; the
+    line of a repeated position's first use is looked up once one is found."""
+    if not lines:
+        raise ParseError("empty input")
+    lineno, head = lines[0]
+    if len(head.split()) != 1:
+        raise ParseError("expected a single integer edge count", line=lineno)
+    try:
+        n = int(head)
+    except ValueError:
+        raise ParseError(f"invalid edge count {_quote(head)}", line=lineno) from None
+    body = lines[1:]
+    if len(body) != n:
+        raise ParseError(f"expected {_digits(n)} pair lines, found {len(body)}",
+                         line=lineno)
+    if n < 1:
+        raise ParseError(f"edge count must be positive, got {n}", line=lineno)
+    partner = [-1] * (2 * n)
+    for lineno, line in body:
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise ParseError(f"expected two positions, got {_quote(line)}", line=lineno)
+        try:
+            a, b = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise ParseError(f"non-integer position in {_quote(line)}", line=lineno) from None
+        for v, w in ((a, b), (b, a)):
+            if not 0 <= v < 2 * n:
+                raise ParseError(f"position {_digits(v)} out of range 0..{2 * n - 1}",
+                                 line=lineno)
+            if partner[v] >= 0:
+                first = next(no for no, text in body if v in map(int, text.split()))
+                raise ParseError(
+                    f"position {v} is matched to itself" if first == lineno
+                    else f"duplicate position {v} (first used on line {first})",
+                    line=lineno)
+            partner[v] = w
+    return Matching(n, tuple(partner))
+
+
 def walk_input(text):
-    return _read_lines(_content_lines(text))
+    """The per-line walk over a text, its pair list read as content lines."""
+    failures = []
+    for name, parse in (("partner", _partner),
+                        ("pairs", lambda text: _reference_pairs(_reference_content_lines(text))),
+                        ("dotbracket", _dotbracket)):
+        try:
+            return parse(text)
+        except ParseError as exc:
+            failures.append(f"{name}: {exc}")
+    raise ParseError("input matches no known format (" + "; ".join(failures) + ")")
 
 
 def walk_ncn(text):
-    """The per-line triple walk: one content-line pass, from which the line
-    whose first token is "nesting" is taken out and the rest read as
-    ``_read_lines`` reads them, so every message keeps the text's own line
+    """The per-line triple walk: one content-line pass finds the line whose
+    first token is "nesting", and the text with that line emptied (its lines
+    joined by "\\n", which keeps ``str.splitlines`` numbering) is read as
+    ``walk_input`` reads it, so every message keeps the text's own line
     numbers."""
-    lines = _content_lines(text)
+    lines = _reference_content_lines(text)
     nesting_at = None
     for i, (lineno, body) in enumerate(lines):
         if body.split()[0] == "nesting":
@@ -412,12 +490,14 @@ def walk_ncn(text):
             nesting_at = i
     if nesting_at is None:
         raise ParseError('missing "nesting a b" line')
-    lineno, body = lines.pop(nesting_at)
+    lineno, body = lines[nesting_at]
     try:
         pair = _nesting_pair(body)
     except ValueError as exc:
         raise ParseError(str(exc), line=lineno) from None
-    base = _read_lines(lines)
+    rows = text.splitlines()
+    rows[lineno - 1] = ""
+    base = walk_input("\n".join(rows))
     if not is_noncrossing(base):  # the base's fault, not the nesting line's
         raise ParseError("base matching has crossings")
     try:
@@ -426,7 +506,7 @@ def walk_ncn(text):
         raise ParseError(str(exc), line=lineno) from None
 
 
-# Each public parser with a fast path, and the per-line walk it must agree with.
+# Each public parser, and the reference walk it must agree with.
 WALKS = [(parse_input, walk_input), (parse_ncn, walk_ncn)]
 
 
@@ -458,26 +538,25 @@ class TestPlainReaderAgainstWalk:
                 assert outcome(parse_input, text) == outcome(walk_input, text) == m
                 assert outcome(parse_ncn, text + "nesting 0 0\n") == outcome(
                     walk_ncn, text + "nesting 0 0\n")
-            assert _read_pair_list(emit_pairs(m)) == m  # read by the token reader
 
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_every_triple(self, n, no_walk):
-        # A triple as ``emit_ncn`` writes it is read without the per-line
-        # walk, which ``walk_ncn`` still reaches through its own import.
+    def test_every_triple(self, n):
         for t in ncn_elements(n):
             text = emit_ncn(t)
             assert walk_ncn(text) == parse_ncn(text) == t
 
     @pytest.mark.parametrize("brk", ["\n", "\r\n"], ids=["LF", "CRLF"])
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_every_commented_pair_list_and_triple(self, n, brk, no_walk):
+    def test_every_commented_pair_list_and_triple(self, n, brk):
         for t in ncn_elements(n):
-            assert parse_ncn(commented(emit_ncn(t), brk)) == t
+            text = commented(emit_ncn(t), brk)
+            assert walk_ncn(text) == parse_ncn(text) == t
         for m in all_matchings(n):
-            assert parse_input(commented(emit_pairs(m), brk)) == m
+            text = commented(emit_pairs(m), brk)
+            assert walk_input(text) == parse_input(text) == m
 
     @pytest.mark.slow
-    def test_every_commented_pair_list_to_seven(self, no_walk):
+    def test_every_commented_pair_list_to_seven(self):
         for n in range(1, 8):
             for m in all_matchings(n):
                 text = emit_pairs(m)
@@ -508,8 +587,8 @@ SPELLINGS = [lambda t: t, lambda t: t, lambda t: t, lambda t: "+" + t,
 def mixed_texts(draw):
     """Pair lists near a matching's: about half written as ``emit_pairs``
     writes them, the rest with faults, spellings, spaces, line breaks,
-    comments and nesting lines on which the token reader and the per-line
-    walk must agree."""
+    comments and nesting lines on which the parsers and the reference walk
+    must agree."""
     def sometimes(odds=4):  # true once in ``odds`` draws
         return draw(st.integers(0, odds - 1)) == 0
 
@@ -580,8 +659,10 @@ class TestLongLinesInMessages:
 
 
 class TestTokenReaderTakesEveryLineBreak:
+    # Round trips of every pair list and triple at n = 4 under each line
+    # break, plain and commented.
     @pytest.mark.parametrize("brk", LINE_BREAKS, ids=[repr(b)[1:-1] for b in LINE_BREAKS])
-    def test_never_reaches_the_walk(self, brk, no_walk):
+    def test_never_reaches_the_walk(self, brk):
         for t in ncn_elements(4):
             pairs = emit_pairs(t.base).replace("\n", brk)
             assert parse_input(pairs) == t.base

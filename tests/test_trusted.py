@@ -22,7 +22,6 @@ from matchbij import (
     NCNTriple,
     all_matchings,
     enumerate_lp,
-    formats,
     nc,
     ncn_elements,
     noncrossing_matchings,
@@ -114,8 +113,7 @@ def test_complete_decoders(n, validated_builds):
     count = 0
     for m in all_matchings(n):
         assert parse_input(emit_dotbracket(m)) == m
-        # Called directly: parse_input reads a valid pair list by its tokens.
-        assert formats._pairs(formats._content_lines(emit_pairs(m))) == m
+        assert parse_input(emit_pairs(m)) == m
         count += 1
     assert validated_builds[0] == 3 * count  # the element and both decodes
 
