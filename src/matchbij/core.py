@@ -227,10 +227,11 @@ class NCNTriple:
 def from_pairs(pairs: Iterable[tuple[int, int]], n: int) -> Matching:
     """Build a matching from n endpoint pairs covering {0, ..., 2n-1}.
 
-    Rejects duplicate positions, out-of-range positions, and a wrong number
-    of pairs, naming the offending value in each case. A duplicate is found
-    in the partner table as it is filled, so the cost is O(n) time and the
-    one table of 2n entries, plus the ``Matching`` validation, O(n).
+    Rejects duplicate positions, self-pairs, out-of-range positions, and a
+    wrong number of pairs, naming the offending value in each case. A
+    duplicate is found in the partner table as it is filled, so the cost is
+    O(n) time and the one table of 2n entries, plus the ``Matching``
+    validation, O(n).
     """
     pair_list = list(pairs)
     if len(pair_list) != n:
@@ -242,8 +243,10 @@ def from_pairs(pairs: Iterable[tuple[int, int]], n: int) -> Matching:
                 raise InvalidMatchingError(
                     f"position {_digits(v)} out of range 0..{2 * n - 1}"
                 )
-            if partner[v] >= 0:
-                raise InvalidMatchingError(f"duplicate position {v}")
+            if partner[v] >= 0:  # a self-pair finds its own first write
+                raise InvalidMatchingError(
+                    f"position {v} is matched to itself" if partner[v] == v
+                    else f"duplicate position {v}")
             partner[v] = w
     return Matching(n, tuple(partner))
 

@@ -2,8 +2,8 @@
 
 Three interchangeable matching encodings:
 
-* pair-list (canonical): line 1 is n, then n lines "left right" with
-  0-based positions. '#' starts a comment; blank lines are ignored.
+* pair-list (canonical): a line holding n, then n lines "left right" with
+  0-based positions, in any order and either orientation.
 * partner-array: one line of 2n space-separated integers forming a
   self-inverse permutation without fixed points.
 * dot-bracket: one line over the bracket families "()", "[]", "{}", "<>",
@@ -13,10 +13,15 @@ Three interchangeable matching encodings:
 A noncrossing matching with a chosen nested pair serializes as a pair-list
 followed by one line "nesting a b", with "nesting 0 0" when no pair is
 chosen; it is read back from a matching in any format plus that line.
+
+In every format and in a triple, '#' starts a comment that ends with its
+line, and blank lines are ignored: every reader takes the lines of ``_lines``.
 """
 
 import re
-from typing import Iterator, Optional
+from itertools import compress, count, repeat
+from operator import contains
+from typing import Optional
 
 from .core import InvalidMatchingError, Matching, NCNTriple, _digits, _quote, is_noncrossing
 
@@ -40,9 +45,6 @@ _FAMILY_LIMIT = len(_OPEN)
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # A comment: from its "#" up to the break that ends its line.
 _COMMENT = f"#[^{_BREAKS}]*"
-# A line and the break that ends it; the last line may have none, and the
-# last match is empty.
-_LINE = f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}]|\\Z)"
 
 
 class ParseError(ValueError):
@@ -61,31 +63,23 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Non-blank lines with comments stripped, tagged with 1-based numbers as
-    ``str.splitlines`` numbers them, found one at a time: a reader that takes
-    the first two holds no more of the text than those."""
-    for lineno, line in enumerate(re.finditer(_LINE, text), start=1):
-        body = line[1].split("#", 1)[0].strip()
-        if body:
-            yield lineno, body
-
-
-def _pairs(text: str) -> Matching:
-    """The pair-list reader; a refusal names the line at fault.
-
-    Comments are cut first, each up to the break that ends its line (one
-    ``re.sub`` and one copy, only for a text holding a "#"). The text is
-    split into lines once and its content lines are counted, so a wrong
-    count is refused before any pair is read. Each pair line gets one split,
-    two ``int``s and one test (both positions in 0..2n-1, unequal and free)
-    before it fills the table; those checks are complete, so the table is
-    not checked again. O(L) time for L characters, also on a fault; the
-    lines and the table are held at once.
-    """
+def _lines(text: str) -> list[str]:
+    """The lines of ``text`` as ``str.splitlines`` cuts them, comments cut
+    first, each up to the break that ends its line (one ``re.sub`` and one
+    copy, only for a text holding a "#"). Every reader takes this one list,
+    so a line's number is its index plus one. O(L) for L characters."""
     if "#" in text:
         text = re.sub(_COMMENT, "", text)
-    lines = text.splitlines()
+    return text.splitlines()
+
+
+def _pairs(lines: list[str]) -> Matching:
+    """The pair-list reader; a refusal names the line at fault. The content
+    lines are counted first, so a wrong count is refused before any pair is
+    read. Each pair line gets one split, two ``int``s and one test (both
+    positions in 0..2n-1, unequal and free) before it fills the table; those
+    checks are complete, so the table is not checked again. O(L) time for L
+    characters, also on a fault; the table is held beside the lines."""
     found = sum(map(bool, map(str.strip, lines))) - 1  # content lines past the count
     if found < 0:
         raise ParseError("empty input")
@@ -152,11 +146,11 @@ def _read_pair_line(lines: list[str], count_line: int, lineno: int,
         partner[v] = w
 
 
-def _single_line(text: str, name: str) -> tuple[int, str]:
-    """The one content line of a single-line format, as (lineno, body); no
-    more than two content lines are taken from the text."""
-    lines = _content_lines(text)
-    first, second = next(lines, None), next(lines, None)
+def _single_line(lines: list[str], name: str) -> tuple[int, str]:
+    """The one content line of a single-line format, as (lineno, body); the
+    lines past the second content line are not looked at."""
+    found = ((no, body) for no, body in enumerate(map(str.strip, lines), start=1) if body)
+    first, second = next(found, None), next(found, None)
     if first is None:
         raise ParseError("empty input")
     if second is not None:
@@ -164,8 +158,8 @@ def _single_line(text: str, name: str) -> tuple[int, str]:
     return first
 
 
-def _partner(text: str) -> Matching:
-    lineno, line = _single_line(text, "partner-array")
+def _partner(lines: list[str]) -> Matching:
+    lineno, line = _single_line(lines, "partner-array")
     tokens = line.split()
     try:
         values = [int(t) for t in tokens]
@@ -180,8 +174,8 @@ def _partner(text: str) -> Matching:
         raise ParseError(str(exc), line=lineno) from None
 
 
-def _dotbracket(text: str) -> Matching:
-    lineno, body = _single_line(text, "dot-bracket")
+def _dotbracket(lines: list[str]) -> Matching:
+    lineno, body = _single_line(lines, "dot-bracket")
     stacks: dict[int, list[int]] = {}
     partner = [0] * len(body)
     for i, c in enumerate(body):
@@ -207,20 +201,23 @@ def _dotbracket(text: str) -> Matching:
 
 
 def parse_input(text: str) -> Matching:
-    """Parse a matching in whichever format it is written.
+    """Parse a matching in whichever format it is written: the text is cut
+    into lines once (``_lines``) and read by ``_decode``. O(L) time for L
+    characters."""
+    return _decode(_lines(text))
 
-    The pair-list reader ``_pairs`` reads every text first. Only a text it
-    refuses goes to partner-array and then dot-bracket, each of which reads
-    at most two content lines; no text is valid in two formats, so the
-    order changes no result. A text that all three refuse gets one message
-    naming each format's faulty line, in the order partner-array, pair-list,
-    dot-bracket. O(L) time for L characters; what ``_pairs`` holds is freed
-    before the other two run.
-    """
+
+def _decode(lines: list[str]) -> Matching:
+    """The matching that ``lines`` write. The pair-list reader ``_pairs``
+    reads them first; only lines it refuses go to partner-array and then
+    dot-bracket, each of which looks at no more than two content lines. No
+    text is valid in two formats, so the order changes no result. Lines all
+    three refuse get one message naming each format's faulty line, in the
+    order partner-array, pair-list, dot-bracket."""
     failures = {}
     for name, parse in (("pairs", _pairs), ("partner", _partner), ("dotbracket", _dotbracket)):
         try:
-            return parse(text)
+            return parse(lines)
         except ParseError as exc:
             failures[name] = f"{name}: {exc}"
     raise ParseError("input matches no known format ({partner}; {pairs}; {dotbracket})"
@@ -228,59 +225,32 @@ def parse_input(text: str) -> Matching:
 
 
 def parse_ncn(text: str) -> NCNTriple:
-    """Parse a matching plus its one "nesting a b" line.
-
-    The nesting line (``_nesting_line``) is blanked in place, so that the
-    text keeps its line numbers, and the rest is read by ``parse_input``.
-    O(L) time for L characters; the blanked text is one more copy, held
-    while ``parse_input`` reads it.
-    """
-    first = _nesting_line(text, 0)
-    if first is None:
+    """Parse a matching plus its one "nesting a b" line, the line whose
+    first token is "nesting". That line is emptied in the list of ``_lines``,
+    so that every line keeps its number, and the list is read as
+    ``parse_input`` reads it. O(L) time for L characters; the lines are freed
+    before the triple is checked."""
+    lines = _lines(text)
+    hits = [i for i in compress(count(), map(contains, lines, repeat("nesting")))
+            if lines[i].split(None, 1)[0] == "nesting"]
+    if not hits:
         raise ParseError('missing "nesting a b" line')
-    start, end = first
-    second = _nesting_line(text, end)
-    if second is not None:
-        raise ParseError(f'second "nesting" line (the first is line '
-                         f'{_line_number(text, start)})', line=_line_number(text, second[0]))
-    # The line is cut where only spaces follow it, as ``emit_ncn`` writes it
-    # (one copy of the text), else blanked with a space: with nothing, a "\r"
-    # before it and a "\n" after it would join into one line break.
-    rest = f"{text[:start]} {text[end:]}" if text[end:].strip() else text[:start]
+    at = hits[0]
+    if len(hits) > 1:
+        raise ParseError(f'second "nesting" line (the first is line {at + 1})',
+                         line=hits[1] + 1)
     try:
-        pair = _nesting_pair(text[start:end].split("#", 1)[0].strip())
+        pair = _nesting_pair(lines[at].strip())
     except ValueError as exc:
-        raise ParseError(str(exc), line=_line_number(text, start)) from None
-    base = parse_input(rest)  # a fault here names its own line
+        raise ParseError(str(exc), line=at + 1) from None
+    lines[at] = ""
+    base = _decode(lines)  # a fault here names its own line
+    del lines
     try:
         return NCNTriple(base, pair)
     except ValueError as exc:  # crossings are the base's, not the line's, fault
-        line = _line_number(text, start) if is_noncrossing(base) else None
+        line = at + 1 if is_noncrossing(base) else None
         raise ParseError(str(exc), line=line) from None
-
-
-# A line whose first token, comments stripped, is "nesting" ("\s" is what
-# ``str.isspace`` takes); led by a line break, its search jumps from break to
-# break in C. Compiled on first use (1 ms) into ``re``'s cache, not at import.
-_NESTING = f"[^\\S{_BREAKS}]*nesting(?![^\\s#])[^{_BREAKS}]*"
-_NESTING_HERE = f"({_NESTING})"
-_NESTING_AFTER = f"[{_BREAKS}]({_NESTING})"
-
-
-def _nesting_line(text: str, at: int) -> Optional[tuple[int, int]]:
-    """(start, end) of the first line from ``at`` on whose first token, with
-    comments stripped, is "nesting"; None if there is none. ``at`` is 0 or a
-    line's end. The line of the first "nesting" past ``at`` is checked first,
-    its start found by one bounded ``rfind`` per break character, then the
-    lines after it are searched: O(L) for L characters, all of it in C."""
-    hit = text.find("nesting", at)
-    if hit < 0:
-        return None
-    for c in _BREAKS:
-        at = max(at, text.rfind(c, at, hit) + 1)
-    found = (re.compile(_NESTING_HERE).match(text, at)
-             or re.compile(_NESTING_AFTER).search(text, at))
-    return None if found is None else found.span(1)
 
 
 def _line_number(text: str, at: int) -> int:

@@ -34,6 +34,16 @@ class TestFromPairs:
         with pytest.raises(InvalidMatchingError, match="duplicate position 2"):
             from_pairs([(0, 2), (1, 2)], 2)
 
+    @pytest.mark.parametrize("pairs,message", [
+        ([(1, 1)], "position 1 is matched to itself"),
+        ([(0, 2), (3, 3)], "position 3 is matched to itself"),
+        ([(0, 1), (1, 1)], "duplicate position 1"),
+    ])
+    def test_self_pair_is_named(self, pairs, message):
+        with pytest.raises(InvalidMatchingError) as info:
+            from_pairs(pairs, len(pairs))
+        assert str(info.value) == message
+
     def test_out_of_range(self):
         with pytest.raises(InvalidMatchingError, match="position 4 out of range"):
             from_pairs([(0, 1), (2, 4)], 2)

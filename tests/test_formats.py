@@ -27,6 +27,7 @@ from matchbij.formats import (
     _FAMILY_LIMIT,
     _OPEN,
     _dotbracket,
+    _lines,
     _nesting_pair,
     _pairs,
     _partner,
@@ -149,7 +150,7 @@ class TestAutoDetect:
         for name, parse in (("partner", _partner), ("pairs", _pairs),
                             ("dotbracket", _dotbracket)):
             with pytest.raises(ParseError) as caught:
-                parse(text)
+                parse(_lines(text))
             failures.append(f"{name}: {caught.value}")
         with pytest.raises(ParseError) as caught:
             parse_input(text)
@@ -464,9 +465,9 @@ def _reference_pairs(lines):
 def walk_input(text):
     """The per-line walk over a text, its pair list read as content lines."""
     failures = []
-    for name, parse in (("partner", _partner),
+    for name, parse in (("partner", lambda text: _partner(_lines(text))),
                         ("pairs", lambda text: _reference_pairs(_reference_content_lines(text))),
-                        ("dotbracket", _dotbracket)):
+                        ("dotbracket", lambda text: _dotbracket(_lines(text)))):
         try:
             return parse(text)
         except ParseError as exc:
@@ -669,6 +670,26 @@ class TestTokenReaderTakesEveryLineBreak:
             assert parse_ncn(emit_ncn(t).replace("\n", brk)) == t
             assert parse_input(commented(emit_pairs(t.base), brk)) == t.base
             assert parse_ncn(commented(emit_ncn(t), brk)) == t
+
+    @pytest.mark.parametrize("where", ["first", "middle", "after-a-comment"])
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=[repr(b)[1:-1] for b in LINE_BREAKS])
+    def test_nesting_line_anywhere(self, brk, where):
+        # The nesting line first, between two pair lines, or after a pair
+        # line's trailing comment. The last pair line (line 6) always
+        # follows it; written as "0 0", a repeat of position 0, it must be
+        # refused with the walk's message.
+        for t in ncn_elements(4):
+            rows = emit_pairs(t.base).splitlines()
+            at = 0 if where == "first" else 1 + t.base.n // 2
+            if where == "after-a-comment":
+                rows[at - 1] += "  # a trailing comment"
+            rows.insert(at, emit_ncn(t).splitlines()[-1])
+            assert parse_ncn(brk.join(rows) + brk) == t
+            rows[-1] = "0 0"
+            text = brk.join(rows) + brk
+            assert outcome(parse_ncn, text) == outcome(walk_ncn, text)
+            assert "pairs: line 6: duplicate position 0 (first used on line" in str(
+                outcome(parse_ncn, text)[1])
 
 
 class TestNestingLineScan:
